@@ -44,9 +44,6 @@ class ReplicatedGraph:
     graph: UGraph
     costs: tuple[Rational, ...]
 
-    def is_copy(self, local: int) -> bool:
-        return local >= len(self.a_members)
-
     def copy_base(self, local: int) -> int:
         """Reduced id of the base vertex behind a copy's local id."""
         return self.b_members[(local - len(self.a_members)) // self.d]
@@ -299,12 +296,7 @@ def solve_class5(
 
     rep = replicate(sub)
     k = _floor_div(limit, 1)
-    fallbacks: tuple[str, ...] = ()
-    try:
-        chosen = solve_dks(rep.graph, k, backend)
-    except CapacityError:
-        chosen = solve_dks(rep.graph, k, GREEDY_BACKEND)
-        fallbacks = ("dks_budget_exceeded_used_greedy",)
+    chosen, fallbacks = _dks_with_fallback(rep.graph, k, backend)
 
     n_a = len(part_a)
     chosen_set = set(chosen)

@@ -110,11 +110,6 @@ def is_feasible(inst: QkpInstance, subset: Iterable[int]) -> bool:
     return sum((inst.cost[v] for v in chosen), 0) <= inst.limit
 
 
-def solution_for(inst: QkpInstance, subset: Iterable[int]) -> Solution:
-    cost, profit = evaluate(inst, subset)
-    return Solution(tuple(sorted(set(subset))), cost, profit)
-
-
 def validate(inst: QkpInstance) -> list[str]:
     """All invariant violations of the instance; empty list means ok."""
     problems = []

@@ -5,25 +5,25 @@ a Pareto frontier, with parent links for subset recovery.  The FPTAS first
 rounds profits to integers via the standard p_hat = floor(p * n / (eps *
 p_max)) transformation.  Ties always prefer excluding the newest item, so
 outputs are deterministic and lean toward low item indices.
+
+Callers pass exact rationals.  Before the sweep, costs and profits are
+scaled to integers by the lcm of their denominators, and the capacity is
+scaled by the cost factor and floored.  This is exact: scaling by a
+positive factor keeps every comparison, and a sum of integers is at most
+C exactly when it is at most floor(C).  The sweep then runs on flat int
+lists, with no rational arithmetic.
 """
 
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
+from math import floor, lcm
 
 from .errors import CapacityError
 from .rational import as_rational
 
 DEFAULT_MAX_ITEMS = 25
 _INT_CAPACITY_GUARD = 1_000_000
-
-
-class _State:
-    __slots__ = ("cost", "profit", "parent", "item")
-
-    def __init__(self, cost, profit, parent, item):
-        self.cost = cost
-        self.profit = profit
-        self.parent = parent
-        self.item = item
 
 
 def _check_items(items, capacity):
@@ -40,52 +40,81 @@ def _check_items(items, capacity):
     return norm, capacity
 
 
-def _sweep(indexed_items, capacity):
-    """Pareto sweep over (cost, profit) states; returns the final frontier.
+def _integral(values):
+    """(values scaled to ints by the lcm of their denominators, that lcm)."""
+    factor = lcm(*(v.denominator for v in values))
+    if factor == 1:
+        return values, 1
+    return [v.numerator * (factor // v.denominator) for v in values], factor
 
-    The frontier is sorted by strictly increasing cost and profit.  States
-    of equal value keep the variant that excludes the newer item.
+
+def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
+    """Pareto sweep over int (cost, profit) states; returns the best subset.
+
+    Every cost must be at most the int capacity.  The frontier is held in
+    parallel lists sorted by strictly increasing cost and profit; states
+    of equal value keep the variant that excludes the newer item.  State
+    id s was added by item added_by[t] for the last t with
+    first_id[t] <= s, and parent[s] is the state it extended (id 0 is the
+    empty set).
     """
-    frontier = [_State(0, 0, None, None)]
-    for idx, cost, profit in indexed_items:
-        added = []
-        for st in frontier:
-            c = st.cost + cost
-            if c <= capacity:
-                added.append(_State(c, st.profit + profit, st, idx))
-        merged = []
+    f_cost, f_profit, f_id = [0], [0], [0]
+    parent = array("q", [-1])
+    first_id, added_by = [], []
+    for idx, cost, profit in zip(indices, costs, profits):
+        # the states this item can extend are a prefix of the frontier
+        k = bisect_right(f_cost, capacity - cost)
+        n = len(f_cost)
+        new_id = len(parent)
+        first_id.append(new_id)
+        added_by.append(idx)
+        m_cost, m_profit, m_id = [], [], []
         best = -1
-        i = j = 0
-        while i < len(frontier) or j < len(added):
-            if j >= len(added):
-                st = frontier[i]
+        i = 0
+        for j in range(k):
+            a_cost = f_cost[j] + cost
+            a_profit = f_profit[j] + profit
+            while i < n:
+                c = f_cost[i]
+                if c > a_cost or (c == a_cost and f_profit[i] < a_profit):
+                    break
+                p = f_profit[i]
+                if p > best:
+                    m_cost.append(c)
+                    m_profit.append(p)
+                    m_id.append(f_id[i])
+                    best = p
                 i += 1
-            elif i >= len(frontier):
-                st = added[j]
-                j += 1
-            elif frontier[i].cost < added[j].cost or (
-                frontier[i].cost == added[j].cost
-                and frontier[i].profit >= added[j].profit
-            ):
-                st = frontier[i]
-                i += 1
-            else:
-                st = added[j]
-                j += 1
-            if st.profit > best:
-                merged.append(st)
-                best = st.profit
-        frontier = merged
-    return frontier
+            if a_profit > best:
+                m_cost.append(a_cost)
+                m_profit.append(a_profit)
+                m_id.append(new_id)
+                parent.append(f_id[j])
+                new_id += 1
+                best = a_profit
+        # frontier profits increase, so the survivors of the rest are a suffix
+        i = bisect_right(f_profit, best, i)
+        m_cost += f_cost[i:]
+        m_profit += f_profit[i:]
+        m_id += f_id[i:]
+        f_cost, f_profit, f_id = m_cost, m_profit, m_id
 
-
-def _recover(state) -> tuple[int, ...]:
     chosen = []
-    while state is not None:
-        if state.item is not None:
-            chosen.append(state.item)
-        state = state.parent
+    state = f_id[-1]
+    while state:
+        chosen.append(added_by[bisect_right(first_id, state) - 1])
+        state = parent[state]
     return tuple(sorted(chosen))
+
+
+def _best_subset(usable, capacity) -> tuple[int, ...]:
+    """Scale (index, cost, profit) triples to ints, then sweep."""
+    if not usable:
+        return ()
+    indices, costs, profits = zip(*usable)
+    costs, factor = _integral(costs)
+    profits, _ = _integral(profits)
+    return _sweep(indices, costs, profits, floor(capacity * factor))
 
 
 def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
@@ -111,8 +140,7 @@ def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
         p_hat = int(p * scale)
         if p_hat > 0:
             scaled.append((i, c, p_hat))
-    frontier = _sweep(scaled, capacity)
-    return _recover(frontier[-1])
+    return _best_subset(scaled, capacity)
 
 
 def knapsack_exact(items, capacity, max_items: int = DEFAULT_MAX_ITEMS) -> tuple[int, ...]:
@@ -133,5 +161,4 @@ def knapsack_exact(items, capacity, max_items: int = DEFAULT_MAX_ITEMS) -> tuple
                 f"exact knapsack limited to {max_items} items "
                 "(or integral costs with bounded capacity)"
             )
-    frontier = _sweep(usable, capacity)
-    return _recover(frontier[-1])
+    return _best_subset(usable, capacity)

@@ -36,7 +36,6 @@ class SolveConfig:
     knapsack_eps: Rational = Fraction(1, 4)
     alpha_override: Optional[Rational] = None
     replication_cap: int = DEFAULT_REPLICATION_CAP
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < Fraction(self.knapsack_eps) < 1:

@@ -39,7 +39,6 @@ class PreparedInstance:
     bucket_of: dict[int, int]
     k_exp: int
     l_buckets: int
-    q_levels: int
 
 
 def prune(inst: QkpInstance) -> PruneResult:
@@ -158,8 +157,6 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
     pruned = prune(inst)
     rounded, levels = round_profits(pruned.reduced)
     bucket_of, k_exp, l_buckets = bucket_costs(rounded)
-    n = rounded.n
-    q_levels = smallest_int_above_log2(n * n) if n >= 1 else 1
     return PreparedInstance(
         reduced=rounded,
         base_profit=pruned.base_profit,
@@ -169,5 +166,4 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
         bucket_of=bucket_of,
         k_exp=k_exp,
         l_buckets=l_buckets,
-        q_levels=q_levels,
     )

@@ -209,3 +209,95 @@ def sub_edge_count(sub: SubInstance, chosen) -> int:
 
 def sub_cost(sub: SubInstance, chosen) -> Fraction:
     return sum((Fraction(sub.scaled_cost[v]) for v in chosen), Fraction(0))
+
+
+class _State:
+    __slots__ = ("cost", "profit", "parent", "item")
+
+    def __init__(self, cost, profit, parent, item):
+        self.cost = cost
+        self.profit = profit
+        self.parent = parent
+        self.item = item
+
+
+def _reference_sweep(indexed_items, capacity):
+    """Pareto sweep over (cost, profit) states; returns the final frontier.
+
+    The frontier is sorted by strictly increasing cost and profit.  States
+    of equal value keep the variant that excludes the newer item.
+    """
+    frontier = [_State(0, 0, None, None)]
+    for idx, cost, profit in indexed_items:
+        added = []
+        for st in frontier:
+            c = st.cost + cost
+            if c <= capacity:
+                added.append(_State(c, st.profit + profit, st, idx))
+        merged = []
+        best = -1
+        i = j = 0
+        while i < len(frontier) or j < len(added):
+            if j >= len(added):
+                st = frontier[i]
+                i += 1
+            elif i >= len(frontier):
+                st = added[j]
+                j += 1
+            elif frontier[i].cost < added[j].cost or (
+                frontier[i].cost == added[j].cost
+                and frontier[i].profit >= added[j].profit
+            ):
+                st = frontier[i]
+                i += 1
+            else:
+                st = added[j]
+                j += 1
+            if st.profit > best:
+                merged.append(st)
+                best = st.profit
+        frontier = merged
+    return frontier
+
+
+def _reference_recover(state) -> tuple[int, ...]:
+    chosen = []
+    while state is not None:
+        if state.item is not None:
+            chosen.append(state.item)
+        state = state.parent
+    return tuple(sorted(chosen))
+
+
+def _reference_usable(items, capacity):
+    return [
+        (i, Fraction(c), Fraction(p))
+        for i, (c, p) in enumerate(items)
+        if c <= capacity and p > 0
+    ]
+
+
+def reference_knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
+    """knapsack_fptas on the linked-list sweep over exact rationals.
+
+    The library's sweep runs on scaled integer costs in flat arrays; this
+    is the rational-cost sweep it replaced, kept to check that both pick
+    the same index tuple.  Inputs are assumed valid.
+    """
+    usable = _reference_usable(items, capacity)
+    if not usable:
+        return ()
+    p_max = max(p for _, _, p in usable)
+    scale = Fraction(len(usable)) / (Fraction(eps) * p_max)
+    scaled = []
+    for i, c, p in usable:
+        p_hat = int(p * scale)
+        if p_hat > 0:
+            scaled.append((i, c, p_hat))
+    return _reference_recover(_reference_sweep(scaled, capacity)[-1])
+
+
+def reference_knapsack_exact(items, capacity) -> tuple[int, ...]:
+    """knapsack_exact on the linked-list sweep, without the size guard."""
+    usable = _reference_usable(items, capacity)
+    return _reference_recover(_reference_sweep(usable, capacity)[-1])

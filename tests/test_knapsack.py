@@ -5,7 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_knapsack_exact, reference_knapsack_fptas
 from qkpapprox.errors import CapacityError
 from qkpapprox.knapsack import knapsack_exact, knapsack_fptas
 
@@ -131,3 +134,33 @@ def test_exact_matches_brute_force():
         cost, profit = total(items, chosen)
         assert cost <= capacity
         assert profit == brute_opt(items, capacity)
+
+
+_denominators = st.sampled_from([1, 2, 4, 8, 64, 3, 6, 7, 10])
+_costs = st.one_of(
+    st.integers(0, 12),
+    st.builds(Fraction, st.integers(0, 96), _denominators),
+)
+_profits = st.one_of(
+    st.integers(0, 12),
+    st.builds(Fraction, st.integers(0, 48), st.sampled_from([1, 2, 3, 5])),
+)
+# few distinct values, so equal costs and equal profits are common
+_tied_items = st.lists(
+    st.tuples(st.sampled_from([0, 1, 2, Fraction(5, 2)]), st.sampled_from([0, 1, 3])),
+    max_size=14,
+)
+_items = st.one_of(st.lists(st.tuples(_costs, _profits), max_size=14), _tied_items)
+_capacities = st.one_of(
+    st.integers(0, 40), st.builds(Fraction, st.integers(0, 160), _denominators)
+)
+_eps = st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(2, 3)])
+
+
+@settings(max_examples=300)
+@given(items=_items, capacity=_capacities, eps=_eps)
+def test_integer_sweep_matches_rational_reference(items, capacity, eps):
+    assert knapsack_fptas(items, capacity, eps) == reference_knapsack_fptas(
+        items, capacity, eps
+    )
+    assert knapsack_exact(items, capacity) == reference_knapsack_exact(items, capacity)
