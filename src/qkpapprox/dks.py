@@ -1,8 +1,12 @@
 """Densest-k-subgraph backends: the pluggable black box of the pipeline.
 
 A backend maps (unweighted graph, k) to a set of exactly min(k, n)
-vertices.  The exact backend enumerates or branch-and-bounds within a
-size budget and raises CapacityError beyond it; the greedy backend peels
+vertices.  The exact backend raises CapacityError beyond a size budget.
+Within it, when there are at most enum_budget k-subsets, a lexicographic
+branch and bound returns the set that plain enumeration in
+itertools.combinations order would (the first one with the most edges);
+enum_budget still bounds its worst case.  Past that, a node-budgeted
+branch and bound over a degree order runs.  The greedy backend peels
 minimum-degree vertices and never fails.
 """
 
@@ -10,7 +14,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable
 
 from .errors import CapacityError
@@ -81,14 +84,59 @@ def solve_dks(graph: UGraph, k: int, backend: DksBackend) -> tuple[int, ...]:
     return chosen
 
 
+def _neighbor_masks(graph: UGraph) -> list[int]:
+    """Bit v of masks[u] is set when u and v are adjacent."""
+    masks = [0] * graph.n
+    for u, v in graph.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _lex_search(masks, start, t, mask, edges, prefix, best) -> None:
+    """Extend prefix by t vertices from start.. in combinations order.
+
+    mask and edges are the prefix's vertex bitmask and induced edge count.
+    best is [edge count, vertex tuple] and is replaced only on a strict
+    gain, so the first maximum in lexicographic order is kept.  A child
+    prefix is skipped when its bound (its edges, all pairs among the
+    vertices still to pick, and the largest gains into it) cannot beat
+    best; the first maximum's prefixes all bound above best until it is
+    reached, so skipping never changes the result.
+    """
+    n = len(masks)
+    if t == 1:
+        best_edges = best[0]
+        for v in range(start, n):
+            e = edges + (masks[v] & mask).bit_count()
+            if e > best_edges:
+                best_edges = e
+                best[1] = (*prefix, v)
+        best[0] = best_edges
+        return
+    # pairs among the t - 1 vertices a child still picks
+    pairs = (t - 1) * (t - 2) // 2
+    for v in range(start, n - t + 1):
+        child_mask = mask | (1 << v)
+        child_edges = edges + (masks[v] & mask).bit_count()
+        # a child with one vertex left is a flat loop as cheap as its bound
+        if t > 2:
+            gains = sorted(
+                [(m & child_mask).bit_count() for m in masks[v + 1:]],
+                reverse=True,
+            )
+            if child_edges + pairs + sum(gains[:t - 1]) <= best[0]:
+                continue
+        prefix.append(v)
+        _lex_search(masks, v + 1, t - 1, child_mask, child_edges, prefix, best)
+        prefix.pop()
+
+
 def _bb_exact(graph: UGraph, k: int, node_budget: int) -> tuple[int, ...]:
     """Branch and bound over a degree-descending vertex order."""
     n = graph.n
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    masks = [0] * n
-    for u, v in graph.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    masks = _neighbor_masks(graph)
 
     best_edges = -1
     best_set: tuple[int, ...] = ()
@@ -132,7 +180,14 @@ def dks_exact(
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[int, ...]:
-    """Maximum-induced-edge k-subset, or CapacityError past the budget."""
+    """Maximum-induced-edge k-subset, or CapacityError past the budget.
+
+    With at most enum_budget k-subsets this is a lexicographic branch and
+    bound that returns the subset plain enumeration would: the first, in
+    itertools.combinations order, with the most induced edges.  Otherwise
+    graphs above max_n raise CapacityError, and the rest run a branch and
+    bound that raises it after node_budget nodes.
+    """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     k_eff = min(k, graph.n)
@@ -141,22 +196,9 @@ def dks_exact(
     if k_eff == graph.n:
         return tuple(range(graph.n))
     if math.comb(graph.n, k_eff) <= enum_budget:
-        masks = [0] * graph.n
-        for u, v in graph.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        best_edges = -1
-        best = ()
-        for combo in combinations(range(graph.n), k_eff):
-            mask = 0
-            edges = 0
-            for v in combo:
-                edges += (masks[v] & mask).bit_count()
-                mask |= 1 << v
-            if edges > best_edges:
-                best_edges = edges
-                best = combo
-        return best
+        best = [-1, ()]
+        _lex_search(_neighbor_masks(graph), 0, k_eff, 0, 0, [], best)
+        return best[1]
     if graph.n > max_n:
         raise CapacityError(
             f"exact DkS limited to n <= {max_n}, got n = {graph.n}"

@@ -44,20 +44,20 @@ def floor_log2(value: Rational) -> int:
     """Largest integer e with 2**e <= value; value must be positive."""
     if value <= 0:
         raise ValueError("floor_log2 requires a positive value")
-    frac = Fraction(value)
-    e = frac.numerator.bit_length() - frac.denominator.bit_length()
-    # the bit-length estimate is off by at most one
-    if pow2(e) > frac:
-        e -= 1
-    if pow2(e + 1) <= frac:
-        e += 1
-    return e
+    num, den = value.numerator, value.denominator
+    # num/den lies in (2**(e-1), 2**(e+1)), so e is the answer or one too high
+    e = num.bit_length() - den.bit_length()
+    if e >= 0:
+        return e if num >= den << e else e - 1
+    return e if num << -e >= den else e - 1
 
 
 def ceil_log2(value: Rational) -> int:
     """Smallest integer e with 2**e >= value; value must be positive."""
     e = floor_log2(value)
-    return e if pow2(e) == value else e + 1
+    # a reduced fraction is a power of two when both its terms are
+    num, den = value.numerator, value.denominator
+    return e if num & (num - 1) == 0 and den & (den - 1) == 0 else e + 1
 
 
 def rational_to_json(value: Rational):

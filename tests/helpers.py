@@ -49,6 +49,30 @@ def brute_force_dks(n: int, edges, k: int):
     return best
 
 
+def reference_dks_enum(n: int, edges, k: int) -> tuple[int, ...]:
+    """The first k-subset, in itertools.combinations order, with the most
+    induced edges: the plain enumeration dks_exact's small case replaced.
+
+    Assumes 0 <= k <= n and canonical (u < v, no repeats) edges.
+    """
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    best_edges = -1
+    best = ()
+    for combo in combinations(range(n), k):
+        mask = 0
+        count = 0
+        for v in combo:
+            count += (masks[v] & mask).bit_count()
+            mask |= 1 << v
+        if count > best_edges:
+            best_edges = count
+            best = combo
+    return best
+
+
 @st.composite
 def qkp_instances(
     draw,

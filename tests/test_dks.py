@@ -1,13 +1,15 @@
 """Densest-k-subgraph backends."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_dks
+from helpers import brute_force_dks, reference_dks_enum
 from qkpapprox.dks import (
+    DEFAULT_ENUM_BUDGET,
     EXACT_BACKEND,
     GREEDY_BACKEND,
     DksBackend,
@@ -134,6 +136,33 @@ def test_branch_and_bound_agrees_with_enumeration():
         k = rng.randint(2, n - 1)
         via_bb = dks_exact(g, k, enum_budget=1, node_budget=500_000)
         assert g.induced_edge_count(via_bb) == brute_force_dks(n, edges, k)
+
+
+@st.composite
+def enumerable_dks_inputs(draw):
+    """(graph, k) with comb(n, k) <= DEFAULT_ENUM_BUDGET.
+
+    n runs to 20 with every k, and to 40 with k <= 2: past
+    DEFAULT_EXACT_MAX_N only the enumeration path is open.  Densities 0
+    and 1 make every k-subset tie.
+    """
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(0, n if n <= 20 else 2))
+    if math.comb(n, k) > DEFAULT_ENUM_BUDGET:
+        k = draw(st.sampled_from([0, 1, 2, n - 2, n - 1, n]))
+    density = draw(st.sampled_from([0, 0.5, 1]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    )
+    return UGraph(n, edges), k
+
+
+@given(enumerable_dks_inputs())
+@settings(max_examples=150, deadline=None)
+def test_exact_returns_first_maximum_in_enumeration_order(case):
+    g, k = case
+    assert dks_exact(g, k) == reference_dks_enum(g.n, g.edges, k)
 
 
 @given(
