@@ -93,43 +93,66 @@ def _neighbor_masks(graph: UGraph) -> list[int]:
     return masks
 
 
-def _lex_search(masks, start, t, mask, edges, prefix, best) -> None:
-    """Extend prefix by t vertices from start.. in combinations order.
+def _completion_bound(cand_masks, mask: int, t: int) -> int:
+    """Most edges that t more vertices, drawn from cand_masks, can add to
+    the set with vertex bitmask mask: every pair among them plus their t
+    largest gains into the set."""
+    gains = sorted([(m & mask).bit_count() for m in cand_masks], reverse=True)
+    return t * (t - 1) // 2 + sum(gains[:t])
 
-    mask and edges are the prefix's vertex bitmask and induced edge count.
-    best is [edge count, vertex tuple] and is replaced only on a strict
-    gain, so the first maximum in lexicographic order is kept.  A child
-    prefix is skipped when its bound (its edges, all pairs among the
-    vertices still to pick, and the largest gains into it) cannot beat
-    best; the first maximum's prefixes all bound above best until it is
-    reached, so skipping never changes the result.
+
+def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
+    """The first k-subset, in itertools.combinations order, with the most
+    induced edges; 1 <= k < len(masks).
+
+    A depth-first walk over prefixes in that order, with an explicit stack
+    so its depth does not grow with k.  Each frame holds the next vertex to
+    try and the prefix's vertex bitmask and induced edge count.  The best
+    is replaced only on a strict gain.  A child prefix is skipped when its
+    edges plus _completion_bound cannot beat the best; the first maximum's
+    prefixes all bound above the best until it is reached, so skipping
+    never changes the result.  A child with one vertex left to pick is a
+    flat loop, and a child with exactly as many later vertices as it still
+    needs has one completion, scored directly; neither is bounded, since
+    the bound would cost what scoring does.
     """
+    if k == 1:
+        return (0,)  # no single vertex induces an edge
     n = len(masks)
-    if t == 1:
-        best_edges = best[0]
-        for v in range(start, n):
-            e = edges + (masks[v] & mask).bit_count()
-            if e > best_edges:
-                best_edges = e
-                best[1] = (*prefix, v)
-        best[0] = best_edges
-        return
-    # pairs among the t - 1 vertices a child still picks
-    pairs = (t - 1) * (t - 2) // 2
-    for v in range(start, n - t + 1):
+    best_edges = -1
+    best: tuple[int, ...] = ()
+    prefix: list[int] = []
+    frames = [[0, 0, 0]]  # per depth: next vertex, prefix mask, prefix edges
+    while frames:
+        frame = frames[-1]
+        v, mask, edges = frame
+        t = k - len(prefix)  # vertices still to pick, v's slot included
+        if v > n - t:
+            frames.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        frame[0] = v + 1
         child_mask = mask | (1 << v)
         child_edges = edges + (masks[v] & mask).bit_count()
-        # a child with one vertex left is a flat loop as cheap as its bound
-        if t > 2:
-            gains = sorted(
-                [(m & child_mask).bit_count() for m in masks[v + 1:]],
-                reverse=True,
-            )
-            if child_edges + pairs + sum(gains[:t - 1]) <= best[0]:
-                continue
-        prefix.append(v)
-        _lex_search(masks, v + 1, t - 1, child_mask, child_edges, prefix, best)
-        prefix.pop()
+        if t == 2:
+            for u in range(v + 1, n):
+                e = child_edges + (masks[u] & child_mask).bit_count()
+                if e > best_edges:
+                    best_edges = e
+                    best = (*prefix, v, u)
+        elif v == n - t:
+            for u in range(v + 1, n):
+                child_edges += (masks[u] & child_mask).bit_count()
+                child_mask |= 1 << u
+            if child_edges > best_edges:
+                best_edges = child_edges
+                best = (*prefix, *range(v, n))
+        elif (child_edges + _completion_bound(masks[v + 1:], child_mask, t - 1)
+              > best_edges):
+            prefix.append(v)
+            frames.append([v + 1, child_mask, child_edges])
+    return best
 
 
 def _bb_exact(graph: UGraph, k: int, node_budget: int) -> tuple[int, ...]:
@@ -154,12 +177,9 @@ def _bb_exact(graph: UGraph, k: int, node_budget: int) -> tuple[int, ...]:
             return
         if n - idx < k - count:
             return
-        t = k - count
-        gains = sorted(
-            ((masks[order[j]] & chosen_mask).bit_count() for j in range(idx, n)),
-            reverse=True,
+        bound = edges + _completion_bound(
+            (masks[order[j]] for j in range(idx, n)), chosen_mask, k - count
         )
-        bound = edges + t * (t - 1) // 2 + sum(gains[:t])
         if bound <= best_edges:
             return
         v = order[idx]
@@ -196,9 +216,7 @@ def dks_exact(
     if k_eff == graph.n:
         return tuple(range(graph.n))
     if math.comb(graph.n, k_eff) <= enum_budget:
-        best = [-1, ()]
-        _lex_search(_neighbor_masks(graph), 0, k_eff, 0, 0, [], best)
-        return best[1]
+        return _lex_first_densest(_neighbor_masks(graph), k_eff)
     if graph.n > max_n:
         raise CapacityError(
             f"exact DkS limited to n <= {max_n}, got n = {graph.n}"

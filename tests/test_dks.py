@@ -165,6 +165,20 @@ def test_exact_returns_first_maximum_in_enumeration_order(case):
     assert dks_exact(g, k) == reference_dks_enum(g.n, g.edges, k)
 
 
+@pytest.mark.parametrize("density", [0, 0.002])
+def test_exact_enumeration_path_handles_k_near_n(density):
+    # comb(1200, 1199) = 1200 is within the budget, and the walk must not
+    # go one call frame deep per chosen vertex.
+    n = 1200
+    rng = random.Random(11)
+    edges = tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    )
+    assert dks_exact(UGraph(n, edges), n - 1) == reference_dks_enum(n, edges, n - 1)
+    if not edges:
+        assert dks_exact(UGraph(n, edges), n - 1) == tuple(range(n - 1))
+
+
 @given(
     st.integers(1, 10),
     st.integers(0, 14),
