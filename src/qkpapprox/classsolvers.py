@@ -2,8 +2,10 @@
 
 Each solver returns a vertex set (reduced ids) that is feasible for the
 sub-instance's scaled limit, along with the case it took and any fallback
-it triggered.  Degree ties always break toward the smaller vertex id so
-outputs are deterministic.
+it triggered.  Costs are summed and compared in integer cost units, and
+each threshold against the scaled limit comes from the integer
+limit_ratio (see decompose).  Degree ties always break toward the smaller
+vertex id so outputs are deterministic.
 """
 
 from dataclasses import dataclass
@@ -42,7 +44,15 @@ class ReplicatedGraph:
     a_members: tuple[int, ...]
     b_members: tuple[int, ...]
     graph: UGraph
-    costs: tuple[Rational, ...]
+    sub: SubInstance
+
+    @property
+    def costs(self) -> tuple[Rational, ...]:
+        """Scaled cost of each local id (a derived view, not used to solve)."""
+        cost = self.sub.scaled_cost
+        return tuple(map(cost, self.a_members)) + tuple(
+            Fraction(cost(b)) / self.d for b in self.b_members for _ in range(self.d)
+        )
 
     def copy_base(self, local: int) -> int:
         """Reduced id of the base vertex behind a copy's local id."""
@@ -61,16 +71,12 @@ def replicate(sub: SubInstance) -> ReplicatedGraph:
         base = n_a + b_index[b] * d
         for j in range(d):
             edges.append((a_local[a], base + j))
-    costs = [sub.scaled_cost[a] for a in part_a]
-    for b in part_b:
-        share = Fraction(sub.scaled_cost[b]) / d
-        costs.extend([share] * d)
     return ReplicatedGraph(
         d=d,
         a_members=tuple(part_a),
         b_members=tuple(part_b),
         graph=UGraph(n=n_a + d * len(part_b), edges=tuple(edges)),
-        costs=tuple(costs),
+        sub=sub,
     )
 
 
@@ -87,8 +93,18 @@ def _top(candidates, m: int, key) -> list:
     return sorted(candidates, key=lambda v: (-key(v), v))[:m]
 
 
-def _floor_div(a, b) -> int:
-    return int(Fraction(a) // Fraction(b))
+def _limit_over(sub: SubInstance, divisor) -> int:
+    """floor(scaled limit / divisor) for a positive int divisor, in ints."""
+    num, den = sub.limit_ratio()
+    return num // (den * divisor)
+
+
+def _case1_applies(sub: SubInstance, n_a: int, alpha: Rational) -> bool:
+    """n_a <= limit^((1+a)/(1-a)) for alpha a = p/q in [0, 1), in ints."""
+    a = Fraction(alpha)
+    p, q = a.numerator, a.denominator
+    num, den = sub.limit_ratio()  # limit = num/den
+    return n_a ** (q - p) * den ** (q + p) <= num ** (q + p)
 
 
 def _dks_with_fallback(graph: UGraph, k: int, backend: DksBackend):
@@ -111,7 +127,7 @@ def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
     Degenerate limits or tiny sub-instances fall back to trying every
     subset of size at most 3.
     """
-    t = _floor_div(sub.scaled_limit, 2)
+    t = _limit_over(sub, 2)
     if t < 2 or len(sub.vertices) < 4:
         return ClassOutcome(_best_small_subset(sub, 3), "enum_small")
     members = tuple(sub.vertices)
@@ -129,11 +145,12 @@ def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
 def _best_small_subset(sub: SubInstance, max_size: int) -> tuple[int, ...]:
     """Best feasible subset of size <= max_size by induced edge count."""
     adj = _adj_sets(sub)
+    units, limit = sub.cost_units, sub.limit_units
     best: tuple[int, ...] = ()
     best_edges = 0
     for size in range(1, max_size + 1):
         for combo in combinations(sub.vertices, size):
-            if sum(sub.scaled_cost[v] for v in combo) > sub.scaled_limit:
+            if sum(units[v] for v in combo) > limit:
                 continue
             chosen = set(combo)
             edges = sum(len(adj[v] & chosen) for v in combo) // 2
@@ -143,32 +160,24 @@ def _best_small_subset(sub: SubInstance, max_size: int) -> tuple[int, ...]:
     return best
 
 
-def _feasible_b_subsets(part_b, scaled_cost, budget, max_size, cap):
-    """Cost-feasible subsets of the heavy side, lexicographic, capped."""
+def _feasible_b_subsets(part_b, cost_units, budget, max_size, cap):
+    """Cost-feasible heavy-side subsets in lexicographic preorder, at most
+    cap of them, and whether more were left out."""
     ordered = list(part_b)
     out = []
-    capped = False
-
-    def extend(start, chosen, cost):
-        nonlocal capped
+    # (next index, subset, cost); children go on in reverse, first comes off first
+    stack = [(0, (), 0)]
+    while stack:
+        start, chosen, cost = stack.pop()
         if len(out) >= cap:
-            capped = True
-            return
-        out.append(tuple(chosen))
-        if len(chosen) == max_size:
-            return
-        for idx in range(start, len(ordered)):
-            v = ordered[idx]
-            c = cost + scaled_cost[v]
-            if c <= budget:
-                chosen.append(v)
-                extend(idx + 1, chosen, c)
-                chosen.pop()
-                if capped:
-                    return
-
-    extend(0, [], 0)
-    return out, capped
+            return out, True
+        out.append(chosen)
+        if len(chosen) != max_size:
+            for i in range(len(ordered) - 1, start - 1, -1):
+                c = cost + cost_units[ordered[i]]
+                if c <= budget:
+                    stack.append((i + 1, chosen + (ordered[i],), c))
+    return out, False
 
 
 def _enum_small_b(sub: SubInstance, eps, combo_cap: int) -> ClassOutcome:
@@ -181,20 +190,19 @@ def _enum_small_b(sub: SubInstance, eps, combo_cap: int) -> ClassOutcome:
     part_a = tuple(sub.part_a or ())
     part_b = tuple(sub.part_b or ())
     adj = _adj_sets(sub)
-    max_size = min(7, _floor_div(sub.scaled_limit, sub.d_gap))
-    combos, capped = _feasible_b_subsets(
-        part_b, sub.scaled_cost, sub.scaled_limit, max_size, combo_cap
-    )
+    units, limit = sub.cost_units, sub.limit_units
+    max_size = min(7, _limit_over(sub, sub.d_gap))
+    combos, capped = _feasible_b_subsets(part_b, units, limit, max_size, combo_cap)
     best: tuple[int, ...] = ()
     best_edges = 0
     for combo in combos:
         chosen_b = set(combo)
-        cost_b = sum(sub.scaled_cost[v] for v in combo)
+        cost_b = sum(units[v] for v in combo)
         degree = {a: len(adj[a] & chosen_b) for a in part_a}
         if sum(degree.values()) <= best_edges:
             continue
-        items = [(sub.scaled_cost[a], degree[a]) for a in part_a]
-        picked = knapsack_fptas(items, sub.scaled_limit - cost_b, eps)
+        items = [(units[a], degree[a]) for a in part_a]
+        picked = knapsack_fptas(items, limit - cost_b, eps)
         edges = sum(degree[part_a[i]] for i in picked)
         if edges > best_edges:
             best_edges = edges
@@ -210,11 +218,12 @@ def _fit_to_limit(sub: SubInstance, ranked_a: list, ranked_b: list):
     (possible when the tail-cost premise fails on awkward n); on
     conforming inputs it never triggers.
     """
-    total = sum(sub.scaled_cost[v] for v in ranked_a + ranked_b)
+    units = sub.cost_units
+    total = sum(units[v] for v in ranked_a + ranked_b)
     trimmed = False
-    while total > sub.scaled_limit and (ranked_a or ranked_b):
+    while total > sub.limit_units and (ranked_a or ranked_b):
         victim = ranked_a.pop() if ranked_a else ranked_b.pop()
-        total -= sub.scaled_cost[victim]
+        total -= units[victim]
         trimmed = True
     return ranked_a, ranked_b, trimmed
 
@@ -232,13 +241,12 @@ def solve_class4(
     boundary.  The light-side count rounds up so the top picks always
     carry at least a quarter of the edge mass.
     """
-    limit, d = sub.scaled_limit, sub.d_gap
     part_a, part_b = tuple(sub.part_a), tuple(sub.part_b)
-    if limit < 4 * d or len(part_a) < 4 or (limit < 8 * d and len(part_b) <= 16):
+    per_4d = _limit_over(sub, 4 * sub.d_gap)  # 0 below 4d, under 2 below 8d
+    if per_4d == 0 or len(part_a) < 4 or (per_4d < 2 and len(part_b) <= 16):
         return _enum_small_b(sub, eps, combo_cap)
     adj = _adj_sets(sub)
-    m_b = max(1, _floor_div(limit, 4 * Fraction(d)))
-    b_prime = _top(part_b, m_b, lambda b: len(adj[b]))
+    b_prime = _top(part_b, max(1, per_4d), lambda b: len(adj[b]))
     b_set = set(b_prime)
     m_a = -(-len(part_a) // 4)
     a_prime = _top(part_a, m_a, lambda a: len(adj[a] & b_set))
@@ -247,12 +255,9 @@ def solve_class4(
     return ClassOutcome(tuple(sorted(a_prime + b_prime)), "main", fallbacks)
 
 
-def _class5_case1(sub: SubInstance, adj):
-    limit, d = sub.scaled_limit, sub.d_gap
-    m_b = max(1, _floor_div(limit, 4 * Fraction(d)))
+def _class5_case1(sub: SubInstance, adj, m_a: int, m_b: int):
     b_prime = _top(sub.part_b, m_b, lambda b: len(adj[b]))
     b_set = set(b_prime)
-    m_a = max(1, _floor_div(limit, 4))
     a_prime = _top(sub.part_a, m_a, lambda a: len(adj[a] & b_set))
     a_prime, b_prime, trimmed = _fit_to_limit(sub, a_prime, b_prime)
     return tuple(sorted(a_prime + b_prime)), trimmed
@@ -273,29 +278,27 @@ def solve_class5(
     k = floor(limit) on the replicated graph, and read the selection back
     through the per-base-vertex peak copy degrees (case 2).
     """
-    limit, d = sub.scaled_limit, sub.d_gap
     part_a, part_b = tuple(sub.part_a), tuple(sub.part_b)
-    if limit < 4 * d:
+    per_4d = _limit_over(sub, 4 * sub.d_gap)
+    if per_4d == 0:  # limit below 4d
         return _enum_small_b(sub, eps, combo_cap)
     adj = _adj_sets(sub)
+    m_a, m_b = max(1, _limit_over(sub, 4)), max(1, per_4d)
 
-    a = Fraction(backend.declared_alpha if alpha is None else alpha)
-    p, q = a.numerator, a.denominator
-    # |A| <= limit^((1+a)/(1-a))  <=>  |A|^(q-p) <= limit^(q+p)
-    if Fraction(len(part_a)) ** (q - p) <= Fraction(limit) ** (q + p):
-        verts, trimmed = _class5_case1(sub, adj)
+    alpha = backend.declared_alpha if alpha is None else alpha
+    if _case1_applies(sub, len(part_a), alpha):
+        verts, trimmed = _class5_case1(sub, adj, m_a, m_b)
         return ClassOutcome(verts, "case1", ("trimmed_for_feasibility",) if trimmed else ())
 
-    d_int = int(d)
-    if len(part_a) + d_int * len(part_b) > replication_cap:
-        verts, trimmed = _class5_case1(sub, adj)
+    if len(part_a) + int(sub.d_gap) * len(part_b) > replication_cap:
+        verts, trimmed = _class5_case1(sub, adj, m_a, m_b)
         notes = ("replication_cap_exceeded",)
         if trimmed:
             notes = notes + ("trimmed_for_feasibility",)
         return ClassOutcome(verts, "case1", notes)
 
     rep = replicate(sub)
-    k = _floor_div(limit, 1)
+    k = _limit_over(sub, 1)
     chosen, fallbacks = _dks_with_fallback(rep.graph, k, backend)
 
     n_a = len(part_a)
@@ -309,10 +312,8 @@ def solve_class5(
             if deg > delta_star[base]:
                 delta_star[base] = deg
 
-    m_b = max(1, _floor_div(limit, 4 * Fraction(d)))
     b_prime = _top(part_b, m_b, lambda b: delta_star[b])
     b_set = set(b_prime)
-    m_a = max(1, _floor_div(limit, 4))
     a_second = _top(a_returned, m_a, lambda v: len(adj[v] & b_set))
     a_second, b_prime, trimmed = _fit_to_limit(sub, a_second, b_prime)
     if trimmed:

@@ -13,6 +13,15 @@ class-1 sub-instance.  Classes:
 Costs of classes 3-5 are rescaled so the light side lies in (1, 2] (class
 4: the tail side lies in (0, 1]); the heavy side of 4/5 lies in (d, 2d]
 for a power of two d.  The cost limit is divided by the same scale.
+
+That scale is a power of two, cost_scale, and no rescaled cost is
+stored: every sub-instance shares prepare's integer cost units (cost *
+den, den the lcm of the denominators of the reduced costs and the limit)
+and the limit in the same units.  One positive factor, den * cost_scale,
+turns units into scaled values, so a subset fits the scaled limit exactly
+when its units sum to at most limit_units; the class solvers add and
+compare ints.  Scaled values are derived views, and thresholds come from
+the integer pair limit_ratio().
 """
 
 from dataclasses import dataclass
@@ -21,7 +30,7 @@ from typing import Optional
 
 from .instance import QkpInstance
 from .preprocess import PreparedInstance
-from .rational import Rational, pow2, rational_to_json
+from .rational import Rational, as_rational, pow2, rational_to_json
 
 
 @dataclass(frozen=True)
@@ -29,8 +38,9 @@ class SubInstance:
     """One class-tagged restricted problem over reduced vertex ids.
 
     vertices lists all members; part_a/part_b are set for the bipartite
-    classes 4 and 5 (part_a is the lighter side).  scaled_cost maps each
-    member to cost/cost_scale and scaled_limit is limit/cost_scale.
+    classes 4 and 5 (part_a is the lighter side).  cost_units (by reduced
+    id) and limit_units are prepare's units; scaled_cost(v) is
+    cost_units[v] / (den * cost_scale), cost_scale = 2**scale_exp.
     buckets: (i, i) for classes 2/3, (tail, i) for class 4, and (i, j)
     with i < j for class 5 (part_a lives in bucket j, part_b in i).
     """
@@ -38,9 +48,10 @@ class SubInstance:
     class_tag: int
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    scaled_cost: dict[int, Rational]
-    cost_scale: Rational
-    scaled_limit: Rational
+    cost_units: tuple[int, ...]
+    limit_units: int
+    den: int = 1
+    scale_exp: int = 0
     part_a: Optional[tuple[int, ...]] = None
     part_b: Optional[tuple[int, ...]] = None
     profit_level: Optional[Rational] = None
@@ -48,8 +59,24 @@ class SubInstance:
     buckets: Optional[tuple[int, int]] = None
     d_gap: Optional[Rational] = None
 
-    def edge_count(self) -> int:
-        return len(self.edges)
+    @property
+    def cost_scale(self) -> Rational:
+        return pow2(self.scale_exp)
+
+    def _ratio(self, units: int) -> tuple[int, int]:
+        e = self.scale_exp
+        return (units, self.den << e) if e >= 0 else (units << -e, self.den)
+
+    def limit_ratio(self) -> tuple[int, int]:
+        """Ints (num, den) with num / den == scaled_limit, den > 0."""
+        return self._ratio(self.limit_units)
+
+    def scaled_cost(self, v: int) -> Rational:
+        return as_rational(Fraction(*self._ratio(self.cost_units[v])))
+
+    @property
+    def scaled_limit(self) -> Rational:
+        return as_rational(Fraction(*self.limit_ratio()))
 
     def profit_mass(self) -> Rational:
         """Total profit carried by this sub-instance."""
@@ -76,12 +103,6 @@ class SubInstance:
         }
 
 
-def _scaled(inst: QkpInstance, members, scale: Rational) -> dict[int, Rational]:
-    if scale == 1:
-        return {v: inst.cost[v] for v in members}
-    return {v: Fraction(inst.cost[v]) / Fraction(scale) for v in members}
-
-
 def decompose(prep: PreparedInstance) -> list[SubInstance]:
     """All sub-instances of the prepared instance, class 1 first.
 
@@ -92,95 +113,54 @@ def decompose(prep: PreparedInstance) -> list[SubInstance]:
     l = prep.l_buckets
     k = prep.k_exp
     tail = l + 1
+    units = {"cost_units": prep.cost_units, "limit_units": prep.limit_units, "den": prep.den}
 
     subs = [
         SubInstance(
             class_tag=1,
             vertices=tuple(range(inst.n)),
             edges=(),
-            scaled_cost={v: inst.cost[v] for v in range(inst.n)},
-            cost_scale=1,
-            scaled_limit=inst.limit,
             vertex_profit={v: inst.vprofit[v] for v in range(inst.n)},
+            **units,
         )
     ]
 
     cells: dict[tuple[int, int, Rational], list[tuple[int, int]]] = {}
     for u, v, p in inst.edges:
         bu, bv = prep.bucket_of[u], prep.bucket_of[v]
-        key = (min(bu, bv), max(bu, bv), p)
+        key = (bu, bv, p) if bu <= bv else (bv, bu, p)
         cells.setdefault(key, []).append((u, v))
 
-    for (b_lo, b_hi, level) in sorted(cells, key=lambda c: (c[0], c[1], c[2])):
+    for (b_lo, b_hi, level) in sorted(cells):
         edges = tuple(sorted(cells[(b_lo, b_hi, level)]))
         members = tuple(sorted({w for e in edges for w in e}))
+        part_a = part_b = d_gap = None
         if b_lo == tail:  # both tail
-            subs.append(
-                SubInstance(
-                    class_tag=2,
-                    vertices=members,
-                    edges=edges,
-                    scaled_cost=_scaled(inst, members, 1),
-                    cost_scale=1,
-                    scaled_limit=inst.limit,
-                    profit_level=level,
-                    buckets=(tail, tail),
-                )
+            tag, exp, buckets = 2, 0, (tail, tail)
+        elif b_lo == b_hi:  # same non-tail bucket
+            tag, exp, buckets = 3, k - b_lo, (b_lo, b_hi)
+        else:  # bipartite: the lighter bucket b_hi is part_a
+            # class 4 (b_hi is the tail) scales the tail like bucket l
+            j = min(b_hi, l)
+            tag = 4 if b_hi == tail else 5
+            exp, d_gap = k - j, pow2(j - b_lo)
+            buckets = (tail, b_lo) if tag == 4 else (b_lo, b_hi)
+            part_a = tuple(v for v in members if prep.bucket_of[v] == b_hi)
+            part_b = tuple(v for v in members if prep.bucket_of[v] == b_lo)
+        subs.append(
+            SubInstance(
+                class_tag=tag,
+                vertices=members,
+                edges=edges,
+                scale_exp=exp,
+                part_a=part_a,
+                part_b=part_b,
+                profit_level=level,
+                buckets=buckets,
+                d_gap=d_gap,
+                **units,
             )
-        elif b_hi <= l and b_lo == b_hi:  # same non-tail bucket
-            scale = pow2(k - b_lo)
-            subs.append(
-                SubInstance(
-                    class_tag=3,
-                    vertices=members,
-                    edges=edges,
-                    scaled_cost=_scaled(inst, members, scale),
-                    cost_scale=scale,
-                    scaled_limit=Fraction(inst.limit) / Fraction(scale),
-                    profit_level=level,
-                    buckets=(b_lo, b_hi),
-                )
-            )
-        elif b_hi == tail:  # tail x non-tail: class 4
-            heavy = b_lo
-            part_a = tuple(v for v in members if prep.bucket_of[v] == tail)
-            part_b = tuple(v for v in members if prep.bucket_of[v] == heavy)
-            scale = pow2(k - l)
-            subs.append(
-                SubInstance(
-                    class_tag=4,
-                    vertices=members,
-                    edges=edges,
-                    scaled_cost=_scaled(inst, members, scale),
-                    cost_scale=scale,
-                    scaled_limit=Fraction(inst.limit) / Fraction(scale),
-                    part_a=part_a,
-                    part_b=part_b,
-                    profit_level=level,
-                    buckets=(tail, heavy),
-                    d_gap=pow2(l - heavy),
-                )
-            )
-        else:  # two distinct non-tail buckets: class 5
-            i, j = b_lo, b_hi  # bucket i holds the heavier costs
-            part_a = tuple(v for v in members if prep.bucket_of[v] == j)
-            part_b = tuple(v for v in members if prep.bucket_of[v] == i)
-            scale = pow2(k - j)
-            subs.append(
-                SubInstance(
-                    class_tag=5,
-                    vertices=members,
-                    edges=edges,
-                    scaled_cost=_scaled(inst, members, scale),
-                    cost_scale=scale,
-                    scaled_limit=Fraction(inst.limit) / Fraction(scale),
-                    part_a=part_a,
-                    part_b=part_b,
-                    profit_level=level,
-                    buckets=(i, j),
-                    d_gap=pow2(j - i),
-                )
-            )
+        )
     return subs
 
 
@@ -208,7 +188,7 @@ def subinstance_as_qkp(sub: SubInstance, unit_edge_profit: bool = False) -> tupl
     )
     inst = QkpInstance(
         n=len(members),
-        cost=tuple(sub.scaled_cost[v] for v in members),
+        cost=tuple(sub.scaled_cost(v) for v in members),
         vprofit=vp,
         edges=tuple(
             (local[u], local[v], profit) for u, v in sub.edges

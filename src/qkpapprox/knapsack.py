@@ -17,10 +17,10 @@ lists, with no rational arithmetic.
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from math import floor, lcm
+from math import floor
 
 from .errors import CapacityError
-from .rational import as_rational
+from .rational import as_rational, to_units
 
 DEFAULT_MAX_ITEMS = 25
 _INT_CAPACITY_GUARD = 1_000_000
@@ -38,14 +38,6 @@ def _check_items(items, capacity):
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
     return norm, capacity
-
-
-def _integral(values):
-    """(values scaled to ints by the lcm of their denominators, that lcm)."""
-    factor = lcm(*(v.denominator for v in values))
-    if factor == 1:
-        return values, 1
-    return [v.numerator * (factor // v.denominator) for v in values], factor
 
 
 def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
@@ -107,14 +99,11 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _best_subset(usable, capacity) -> tuple[int, ...]:
-    """Scale (index, cost, profit) triples to ints, then sweep."""
-    if not usable:
-        return ()
+def _integral(usable, capacity):
+    """(indices, costs, profits, capacity) of (index, cost, profit) triples, in ints."""
     indices, costs, profits = zip(*usable)
-    costs, factor = _integral(costs)
-    profits, _ = _integral(profits)
-    return _sweep(indices, costs, profits, floor(capacity * factor))
+    costs, factor = to_units(costs)
+    return indices, costs, to_units(profits)[0], floor(capacity * factor)
 
 
 def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
@@ -140,25 +129,26 @@ def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
         p_hat = int(p * scale)
         if p_hat > 0:
             scaled.append((i, c, p_hat))
-    return _best_subset(scaled, capacity)
+    return _sweep(*_integral(scaled, capacity))
 
 
 def knapsack_exact(items, capacity, max_items: int = DEFAULT_MAX_ITEMS) -> tuple[int, ...]:
     """Exact 0/1 knapsack by dominance sweep; returns chosen item indices.
 
-    Guarded: beyond max_items items the sweep is only attempted when all
-    costs are integral and the capacity is small enough to bound the
-    frontier; otherwise CapacityError.
+    Guarded: beyond max_items items the sweep only runs when the capacity,
+    in the integer units the costs are scaled to, is small enough to bound
+    the frontier; otherwise CapacityError.
     """
     norm, capacity = _check_items(items, capacity)
     usable = [
         (i, c, p) for i, (c, p) in enumerate(norm) if c <= capacity and p > 0
     ]
-    if len(usable) > max_items:
-        integral = all(isinstance(c, int) for _, c, _ in usable)
-        if not (integral and capacity <= _INT_CAPACITY_GUARD):
-            raise CapacityError(
-                f"exact knapsack limited to {max_items} items "
-                "(or integral costs with bounded capacity)"
-            )
-    return _best_subset(usable, capacity)
+    if not usable:
+        return ()
+    indices, costs, profits, capacity = _integral(usable, capacity)
+    if len(usable) > max_items and capacity > _INT_CAPACITY_GUARD:
+        raise CapacityError(
+            f"exact knapsack limited to {max_items} items "
+            f"(or a capacity of at most {_INT_CAPACITY_GUARD} cost units)"
+        )
+    return _sweep(indices, costs, profits, capacity)

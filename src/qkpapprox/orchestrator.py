@@ -112,10 +112,10 @@ def guaranteed_floor(n: int) -> Fraction:
     return Fraction(1, 64 * (2 * (ceil_log2(n) + 1) ** 3 + 1))
 
 
-def _solve_sub(sub, backend, cfg):
+def _solve_sub(sub, reduced, backend, cfg):
     if sub.class_tag == 1:
-        items = [(sub.scaled_cost[v], sub.vertex_profit[v]) for v in sub.vertices]
-        picked = knapsack_fptas(items, sub.scaled_limit, cfg.knapsack_eps)
+        items = list(zip(reduced.cost, reduced.vprofit))
+        picked = knapsack_fptas(items, reduced.limit, cfg.knapsack_eps)
         return ClassOutcome(tuple(sub.vertices[i] for i in picked), "knapsack")
     if sub.class_tag == 2:
         return solve_class2(sub)
@@ -167,7 +167,7 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
 
     records = []
     for sub in subs:
-        outcome = _solve_sub(sub, backend, cfg)
+        outcome = _solve_sub(sub, prep.reduced, backend, cfg)
         lifted = frozenset(prep.orig_of[r] for r in outcome.vertices) | always
         cost, profit = evaluate(inst, lifted)
         feasible = cost <= inst.limit

@@ -10,7 +10,7 @@ sub-instance decomposition.
 from dataclasses import dataclass
 
 from .instance import QkpInstance
-from .rational import Rational, ceil_log2, floor_log2, pow2
+from .rational import Rational, ceil_log2, floor_log2, pow2, to_units
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,9 @@ class PreparedInstance:
     profit_levels is the descending ladder of edge-profit values
     (powers of two, then 0); bucket_of maps each reduced vertex to its
     dyadic cost bucket 1..l_buckets+1, where bucket l_buckets+1 is the
-    tail of costs <= 2**(k_exp - l_buckets).
+    tail of costs <= 2**(k_exp - l_buckets).  den is the lcm of the
+    denominators of the reduced costs and the limit; cost_units[v] is
+    reduced.cost[v] * den and limit_units is reduced.limit * den, all ints.
     """
 
     reduced: QkpInstance
@@ -39,17 +41,13 @@ class PreparedInstance:
     bucket_of: dict[int, int]
     k_exp: int
     l_buckets: int
+    den: int
+    cost_units: tuple[int, ...]
+    limit_units: int
 
 
-def prune(inst: QkpInstance) -> PruneResult:
-    """Drop unusable vertices/edges and fold zero-cost vertices.
-
-    Removed: vertices with cost above the limit, edges whose endpoint
-    costs together exceed the limit, and zero-profit edges.  Zero-cost
-    vertices are folded: their vertex profit accrues to base_profit and
-    each surviving incident edge profit moves onto the neighbour's vertex
-    profit.  The remaining instance is relabeled densely.
-    """
+def _prune_parts(inst: QkpInstance):
+    """prune's result, with the reduced instance still as (cost, vprofit, edges)."""
     n = inst.n
     affordable = [v for v in range(n) if inst.cost[v] <= inst.limit]
     affordable_set = set(affordable)
@@ -80,14 +78,25 @@ def prune(inst: QkpInstance) -> PruneResult:
 
     survivors = [v for v in affordable if v not in zero_set]
     new_id = {v: i for i, v in enumerate(survivors)}
-    reduced = QkpInstance(
-        n=len(survivors),
-        cost=tuple(inst.cost[v] for v in survivors),
-        vprofit=tuple(inst.vprofit[v] + extra_vp[v] for v in survivors),
-        edges=tuple((new_id[u], new_id[v], p) for u, v, p in kept_edges),
-        limit=inst.limit,
+    parts = (
+        tuple(inst.cost[v] for v in survivors),
+        tuple(inst.vprofit[v] + extra_vp[v] for v in survivors),
+        tuple((new_id[u], new_id[v], p) for u, v, p in kept_edges),
     )
-    return PruneResult(reduced, base_profit, frozenset(zero), tuple(survivors))
+    return parts, base_profit, frozenset(zero), tuple(survivors)
+
+
+def prune(inst: QkpInstance) -> PruneResult:
+    """Drop unusable vertices/edges and fold zero-cost vertices.
+
+    Removed: vertices with cost above the limit, edges whose endpoint
+    costs together exceed the limit, and zero-profit edges.  Zero-cost
+    vertices are folded: their vertex profit accrues to base_profit and
+    each surviving incident edge profit moves onto the neighbour's vertex
+    profit.  The remaining instance is relabeled densely.
+    """
+    (cost, vprofit, edges), *folded = _prune_parts(inst)
+    return PruneResult(QkpInstance(len(cost), cost, vprofit, edges, inst.limit), *folded)
 
 
 def smallest_int_above_log2(n: int) -> int:
@@ -95,6 +104,21 @@ def smallest_int_above_log2(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return n.bit_length()
+
+
+def _rounded_edges(n: int, edges) -> tuple[tuple, tuple[Rational, ...]]:
+    """round_profits' edges and level ladder for n vertices; edges non-empty."""
+    p_star = max(p for _, _, p in edges)
+    l_exp = floor_log2(p_star)
+    q = smallest_int_above_log2(n * n)
+    levels = tuple(pow2(l_exp - j) for j in range(q + 1)) + (0,)
+    cutoff = l_exp - q
+    rounded = []
+    for u, v, p in edges:
+        e = floor_log2(p)
+        if e >= cutoff:
+            rounded.append((u, v, pow2(e)))
+    return tuple(rounded), levels
 
 
 def round_profits(inst: QkpInstance) -> tuple[QkpInstance, tuple[Rational, ...]]:
@@ -107,24 +131,8 @@ def round_profits(inst: QkpInstance) -> tuple[QkpInstance, tuple[Rational, ...]]
     """
     if not inst.edges:
         return inst, ()
-    p_star = max(p for _, _, p in inst.edges)
-    l_exp = floor_log2(p_star)
-    q = smallest_int_above_log2(inst.n * inst.n)
-    levels = tuple(pow2(l_exp - j) for j in range(q + 1)) + (0,)
-    cutoff = l_exp - q
-    rounded = []
-    for u, v, p in inst.edges:
-        e = floor_log2(p)
-        if e >= cutoff:
-            rounded.append((u, v, pow2(e)))
-    reduced = QkpInstance(
-        n=inst.n,
-        cost=inst.cost,
-        vprofit=inst.vprofit,
-        edges=tuple(rounded),
-        limit=inst.limit,
-    )
-    return reduced, levels
+    edges, levels = _rounded_edges(inst.n, inst.edges)
+    return QkpInstance(inst.n, inst.cost, inst.vprofit, edges, inst.limit), levels
 
 
 def bucket_costs(inst: QkpInstance) -> tuple[dict[int, int], int, int]:
@@ -154,16 +162,23 @@ def bucket_costs(inst: QkpInstance) -> tuple[dict[int, int], int, int]:
 
 def prepare(inst: QkpInstance) -> PreparedInstance:
     """Full preparation pipeline: prune, round profits, bucket costs."""
-    pruned = prune(inst)
-    rounded, levels = round_profits(pruned.reduced)
-    bucket_of, k_exp, l_buckets = bucket_costs(rounded)
+    (cost, vprofit, edges), base_profit, always_include, orig_of = _prune_parts(inst)
+    levels = ()
+    if edges:
+        edges, levels = _rounded_edges(len(cost), edges)
+    reduced = QkpInstance(len(cost), cost, vprofit, edges, inst.limit)  # built once
+    bucket_of, k_exp, l_buckets = bucket_costs(reduced)
+    units, den = to_units(reduced.cost + (reduced.limit,))
     return PreparedInstance(
-        reduced=rounded,
-        base_profit=pruned.base_profit,
-        always_include=pruned.always_include,
-        orig_of=pruned.orig_of,
+        reduced=reduced,
+        base_profit=base_profit,
+        always_include=always_include,
+        orig_of=orig_of,
         profit_levels=levels,
         bucket_of=bucket_of,
         k_exp=k_exp,
         l_buckets=l_buckets,
+        den=den,
+        cost_units=tuple(units[:-1]),
+        limit_units=units[-1],
     )

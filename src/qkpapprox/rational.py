@@ -6,6 +6,7 @@ feasibility comparisons and power-of-two rounding stay exact.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -38,6 +39,17 @@ def pow2(exponent: int) -> Rational:
     if exponent >= 0:
         return 1 << exponent
     return Fraction(1, 1 << -exponent)
+
+
+def to_units(values) -> tuple[list[int], int]:
+    """(values scaled to ints by the lcm of their denominators, that lcm).
+
+    One positive factor keeps every sum and comparison among them exact.
+    """
+    factor = lcm(*(v.denominator for v in values))
+    if factor == 1:
+        return values, 1
+    return [v.numerator * (factor // v.denominator) for v in values], factor
 
 
 def floor_log2(value: Rational) -> int:

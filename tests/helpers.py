@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qkpapprox.decompose import SubInstance
 from qkpapprox.instance import QkpInstance
+from qkpapprox.rational import to_units
 
 
 def brute_force_opt(inst: QkpInstance):
@@ -101,6 +102,26 @@ def qkp_instances(
     )
 
 
+def sub_from_scaled(class_tag, costs, edges, limit, **fields) -> SubInstance:
+    """A hand-built sub-instance over vertices 0..len(costs)-1 at scale 1.
+
+    costs (a sequence or a dict keyed by vertex) and limit are the scaled
+    rationals; they are stored as integer units over their common
+    denominator, as decompose stores a prepared instance's costs.
+    """
+    n = len(costs)
+    units, den = to_units([Fraction(costs[v]) for v in range(n)] + [Fraction(limit)])
+    return SubInstance(
+        class_tag=class_tag,
+        vertices=tuple(range(n)),
+        edges=tuple(edges),
+        cost_units=tuple(units[:-1]),
+        limit_units=units[-1],
+        den=den,
+        **fields,
+    )
+
+
 def random_class3_sub(rng: random.Random) -> SubInstance:
     """Conforming class-3 sub-instance: scaled costs in (1,2]."""
     r = rng.randint(4, 12)
@@ -111,13 +132,11 @@ def random_class3_sub(rng: random.Random) -> SubInstance:
         (u, v) for u in range(r) for v in range(u + 1, r) if rng.random() < density
     )
     limit = Fraction(rng.randint(16, 40), 4)
-    return SubInstance(
-        class_tag=3,
-        vertices=verts,
-        edges=edges,
-        scaled_cost=costs,
-        cost_scale=1,
-        scaled_limit=limit,
+    return sub_from_scaled(
+        3,
+        costs,
+        edges,
+        limit,
         profit_level=1,
         buckets=(1, 1),
     )
@@ -143,13 +162,11 @@ def random_class4_sub(rng: random.Random) -> SubInstance:
     edges = tuple(
         (a, b) for a in part_a for b in part_b if rng.random() < density
     )
-    return SubInstance(
-        class_tag=4,
-        vertices=tuple(range(n)),
-        edges=edges,
-        scaled_cost=costs,
-        cost_scale=1,
-        scaled_limit=limit,
+    return sub_from_scaled(
+        4,
+        costs,
+        edges,
+        limit,
         part_a=part_a,
         part_b=part_b,
         profit_level=1,
@@ -181,13 +198,11 @@ def random_class5_case2_sub(rng: random.Random) -> SubInstance:
     edges = tuple(
         (a, b) for a in part_a for b in part_b if rng.random() < density
     )
-    return SubInstance(
-        class_tag=5,
-        vertices=tuple(range(n_a + n_b)),
-        edges=edges,
-        scaled_cost=costs,
-        cost_scale=1,
-        scaled_limit=limit,
+    return sub_from_scaled(
+        5,
+        costs,
+        edges,
+        limit,
         part_a=part_a,
         part_b=part_b,
         profit_level=1,
@@ -211,13 +226,11 @@ def random_bipartite_sub(rng: random.Random, d: int) -> SubInstance:
         (a, b) for a in part_a for b in part_b if rng.random() < 0.7
     )
     limit = Fraction(rng.randint(8, 40), 2)
-    return SubInstance(
-        class_tag=5,
-        vertices=tuple(range(n_a + n_b)),
-        edges=edges,
-        scaled_cost=costs,
-        cost_scale=1,
-        scaled_limit=limit,
+    return sub_from_scaled(
+        5,
+        costs,
+        edges,
+        limit,
         part_a=part_a,
         part_b=part_b,
         profit_level=1,
@@ -232,7 +245,66 @@ def sub_edge_count(sub: SubInstance, chosen) -> int:
 
 
 def sub_cost(sub: SubInstance, chosen) -> Fraction:
-    return sum((Fraction(sub.scaled_cost[v]) for v in chosen), Fraction(0))
+    return sum((Fraction(sub.scaled_cost(v)) for v in chosen), Fraction(0))
+
+
+def reference_feasible_b_subsets(part_b, scaled_cost, budget, max_size, cap):
+    """The recursive enumeration classsolvers._feasible_b_subsets replaced.
+
+    Cost-feasible subsets of the heavy side, lexicographic, capped; the
+    closure refers to itself, so each call leaves a reference cycle.
+    """
+    ordered = list(part_b)
+    out = []
+    capped = False
+
+    def extend(start, chosen, cost):
+        nonlocal capped
+        if len(out) >= cap:
+            capped = True
+            return
+        out.append(tuple(chosen))
+        if len(chosen) == max_size:
+            return
+        for idx in range(start, len(ordered)):
+            v = ordered[idx]
+            c = cost + scaled_cost[v]
+            if c <= budget:
+                chosen.append(v)
+                extend(idx + 1, chosen, c)
+                chosen.pop()
+                if capped:
+                    return
+
+    extend(0, [], 0)
+    return out, capped
+
+
+def rational_cost_instance(seed: int) -> QkpInstance:
+    """Seeded instance with rational costs and limit: denominators 2, 3, 7
+    and 21, costs on powers of two and below 1, and Fraction edge profits."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 24)
+    den = rng.choice([2, 3, 7, 21])
+    cost = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.25:
+            cost.append(Fraction(2) ** rng.randint(-3, 5))
+        elif kind < 0.45:
+            cost.append(Fraction(rng.randint(1, den - 1), den))
+        else:
+            cost.append(Fraction(rng.randint(1, 40 * den), den))
+    density = rng.choice([0.2, 0.5, 0.8])
+    edges = tuple(
+        (u, v, Fraction(rng.randint(1, 60), rng.choice([1, 3])))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < density
+    )
+    limit = Fraction(rng.randint(1, int(sum(cost)) + 1) * 7, rng.choice([2, 3, 7]) * 7)
+    vprofit = tuple(rng.randint(0, 5) for _ in range(n))
+    return QkpInstance(n=n, cost=tuple(cost), vprofit=vprofit, edges=edges, limit=limit)
 
 
 class _State:

@@ -1,37 +1,42 @@
 """Class-2..5 solvers and the replication transform."""
 
+import gc
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers import (
     random_class3_sub,
+    reference_feasible_b_subsets,
     random_class4_sub,
     random_class5_case2_sub,
     sub_cost,
     sub_edge_count,
+    sub_from_scaled,
 )
 from qkpapprox.classsolvers import (
+    _feasible_b_subsets,
+    _fit_to_limit,
     replicate,
     solve_class2,
     solve_class3,
     solve_class4,
     solve_class5,
 )
-from qkpapprox.decompose import SubInstance, subinstance_as_qkp
+from qkpapprox.decompose import subinstance_as_qkp
 from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND
 from qkpapprox.instance import QkpInstance
 from qkpapprox.oracle import exact_qkp
 
 
 def make_sub(class_tag, costs, edges, limit, part_a=None, part_b=None, d=None):
-    n = len(costs)
-    return SubInstance(
-        class_tag=class_tag,
-        vertices=tuple(range(n)),
-        edges=tuple(edges),
-        scaled_cost={v: costs[v] for v in range(n)},
-        cost_scale=1,
-        scaled_limit=limit,
+    return sub_from_scaled(
+        class_tag,
+        costs,
+        edges,
+        limit,
         part_a=part_a,
         part_b=part_b,
         profit_level=1,
@@ -281,3 +286,42 @@ def test_class5_case2_ratio_bound_quick():
         inst, _ = subinstance_as_qkp(sub, unit_edge_profit=True)
         opt = exact_qkp(inst).total_profit
         assert 16 * alg >= opt
+
+
+@given(
+    st.lists(st.integers(0, 9), max_size=9),
+    st.integers(0, 30),
+    st.integers(0, 8),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_feasible_b_subsets_matches_recursive_reference(costs, budget, max_size, data):
+    part_b = tuple(range(10, 10 + len(costs)))
+    cost_of = {v: c for v, c in zip(part_b, costs)}
+    everything, capped = reference_feasible_b_subsets(part_b, cost_of, budget, max_size, 10**9)
+    assert not capped
+    count = len(everything)
+    cap = data.draw(st.sampled_from((0, 1, count - 1, count, count + 1, count // 2)))
+    assert _feasible_b_subsets(part_b, cost_of, budget, max_size, cap) == (
+        reference_feasible_b_subsets(part_b, cost_of, budget, max_size, cap)
+    )
+
+
+def test_feasible_b_subsets_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        out, capped = _feasible_b_subsets(tuple(range(8)), [1] * 8, 5, 7, 10**6)
+        assert (len(out), capped) == (1 + 8 + 28 + 56 + 70 + 56, False)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_fit_to_limit_trims_at_the_unit_boundary():
+    # three costs of 1/2 against a limit of 1: one unit over, so exactly the
+    # lowest-ranked light pick goes; with a limit of 3/2 nothing does
+    over = make_sub(4, [Fraction(1, 2)] * 3, [], limit=1, part_a=(0, 1), part_b=(2,), d=1)
+    assert _fit_to_limit(over, [0, 1], [2]) == ([0], [2], True)
+    fits = make_sub(4, [Fraction(1, 2)] * 3, [], limit=Fraction(3, 2), part_a=(0, 1), part_b=(2,), d=1)
+    assert _fit_to_limit(fits, [0, 1], [2]) == ([0, 1], [2], False)

@@ -78,9 +78,21 @@ def test_exact_all_zero_cost():
 
 
 def test_exact_guard_trips():
-    items = [(Fraction(1, 3), 1)] * 30
+    # the guard bounds the capacity in the integer units the sweep runs on:
+    # 1001 is small, but at cost 1/1000 it is 1,001,000 units
+    items = [(Fraction(1, 1000), 1)] * 30
     with pytest.raises(CapacityError):
-        knapsack_exact(items, 5)
+        knapsack_exact(items, 1001)
+    with pytest.raises(CapacityError):
+        knapsack_exact([(1, 1)] * 30, 1_000_001)
+
+
+def test_exact_guard_accepts_small_scaled_capacity():
+    # 30 items of cost 1/3 and capacity 5 are 15 units: the same answer as
+    # the items scaled by 3
+    thirds = knapsack_exact([(Fraction(1, 3), 1)] * 30, 5)
+    assert thirds == knapsack_exact([(1, 1)] * 30, 15)
+    assert len(thirds) == 15
 
 
 def test_exact_many_integral_items_allowed():
