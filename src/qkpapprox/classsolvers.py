@@ -165,7 +165,7 @@ def _feasible_b_subsets(part_b, cost_units, budget, max_size, cap):
     cap of them, and whether more were left out."""
     ordered = list(part_b)
     out = []
-    # (next index, subset, cost); children go on in reverse, first comes off first
+    # frames (next index, subset, its cost); children are pushed last-first
     stack = [(0, (), 0)]
     while stack:
         start, chosen, cost = stack.pop()

@@ -14,14 +14,14 @@ Costs of classes 3-5 are rescaled so the light side lies in (1, 2] (class
 4: the tail side lies in (0, 1]); the heavy side of 4/5 lies in (d, 2d]
 for a power of two d.  The cost limit is divided by the same scale.
 
-That scale is a power of two, cost_scale, and no rescaled cost is
-stored: every sub-instance shares prepare's integer cost units (cost *
-den, den the lcm of the denominators of the reduced costs and the limit)
-and the limit in the same units.  One positive factor, den * cost_scale,
-turns units into scaled values, so a subset fits the scaled limit exactly
-when its units sum to at most limit_units; the class solvers add and
-compare ints.  Scaled values are derived views, and thresholds come from
-the integer pair limit_ratio().
+No rescaled cost is stored.  Every sub-instance shares prepare's integer
+cost units (cost * den, den the lcm of the denominators of the reduced
+costs and the limit) and the limit in the same units, and records its
+scale as cost_scale = 2**scale_exp.  One positive factor, den *
+cost_scale, turns units into scaled values, so a subset fits the scaled
+limit exactly when its units sum to at most limit_units; the class
+solvers add and compare ints.  Scaled values are derived views, and
+thresholds come from the integer pair limit_ratio().
 """
 
 from dataclasses import dataclass
@@ -50,7 +50,7 @@ class SubInstance:
     edges: tuple[tuple[int, int], ...]
     cost_units: tuple[int, ...]
     limit_units: int
-    den: int = 1
+    den: int
     scale_exp: int = 0
     part_a: Optional[tuple[int, ...]] = None
     part_b: Optional[tuple[int, ...]] = None
