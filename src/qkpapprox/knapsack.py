@@ -12,10 +12,18 @@ scaled by the cost factor and floored.  This is exact: scaling by a
 positive factor keeps every comparison, and a sum of integers is at most
 C exactly when it is at most floor(C).  The sweep then runs on flat int
 lists, with no rational arithmetic.
+
+The sweep prunes by an upper bound (Martello, Pisinger & Toth 1999).  It
+keeps a feasible profit lb and drops every state whose profit plus the
+floored Dantzig (fractional knapsack) bound of the items still to come,
+in the capacity it has left, is below lb.  The bound table is built only
+on frontiers longer than the item list, so small calls skip it.  The
+chosen subset is the one the unpruned sweep picks; _sweep gives the
+argument.
 """
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import floor
 
@@ -40,6 +48,46 @@ def _check_items(items, capacity):
     return norm, capacity
 
 
+def _bound_table(order, costs, profits, start):
+    """Prefix sums for the Dantzig bound of the items at positions >= start.
+
+    order lists item positions by nonincreasing profit/cost ratio.  Returns
+    (pc, pp, bc, bp): pc[k] and pp[k] are the cost and profit of the first
+    k of those items, bc[k] and bp[k] the cost and profit of the (k+1)-th,
+    with a (1, 0) sentinel after the last.  For a residual capacity r and
+    k = bisect_right(pc, r) - 1 the bound is
+    pp[k] + (r - pc[k]) * bp[k] // bc[k].
+    """
+    pc, pp, bc, bp = [0], [0], [], []
+    c = p = 0
+    for t in order:
+        if t >= start:
+            c += costs[t]
+            p += profits[t]
+            pc.append(c)
+            pp.append(p)
+            bc.append(costs[t])
+            bp.append(profits[t])
+    bc.append(1)
+    bp.append(0)
+    return pc, pp, bc, bp
+
+
+def _ratio_order(costs, profits, capacity):
+    """Item positions by nonincreasing profit/cost, zero costs first.
+
+    Costs are ints in [0, capacity].  Two distinct ratios p/c and p'/c'
+    differ by at least 1/(c c'), so once scaled by 2**shift > capacity**2
+    their floors differ too: the int key orders exactly like the ratio.
+    """
+    shift = 2 * capacity.bit_length()
+    return sorted(
+        range(len(costs)),
+        key=lambda t: (costs[t] == 0, (profits[t] << shift) // (costs[t] or 1)),
+        reverse=True,
+    )
+
+
 def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     """Pareto sweep over int (cost, profit) states; returns the best subset.
 
@@ -49,11 +97,61 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     id s was added by item added_by[t] for the last t with
     first_id[t] <= s, and parent[s] is the state it extended (id 0 is the
     empty set).
+
+    Bound and prune.  lb is a feasible profit: a greedy fill in exact
+    profit/cost order, raised before each item to the frontier's largest
+    profit.  Before item j is merged, a state s = (c, p) is dropped when
+    B_j(s) = p + U_j(capacity - c) < lb, where U_j(r) is the floor of the
+    Dantzig bound of items j.. in capacity r.  Laziness: a step builds
+    its bound table (O(m) for m items) only when the frontier is longer
+    than m, and the ratio sort and the greedy fill run the first time
+    that happens, so small calls pay nothing.
+
+    The pruned sweep recovers the same subset as the unpruned one.
+    - B_j is monotone: a state with cost <= c and profit >= p has
+      B_j >= B_j(s), since U_j grows with the residual capacity.
+    - B does not grow along a parent chain: the LP of items j.. is at
+      least that of items j+1.. alone, and at least item j taken whole
+      plus the LP of items j+1.. in the capacity left after it.
+    - A merge candidate survives exactly when no candidate ahead of it in
+      merge order has a profit at least its own; such a candidate
+      dominates it.
+    By induction over the items, and as lb never falls, a state with
+    B >= lb is on the pruned frontier exactly when it is on the unpruned
+    one: its parent had B >= lb, and so had the parent of every candidate
+    that could displace it.  The unpruned sweep's final best state has B
+    equal to its profit, the optimum, which is at least lb; so it and
+    every ancestor are kept, and it is still the best final state.
     """
     f_cost, f_profit, f_id = [0], [0], [0]
     parent = array("q", [-1])
     first_id, added_by = [], []
-    for idx, cost, profit in zip(indices, costs, profits):
+    m = len(costs)
+    order = None
+    for pos, (idx, cost, profit) in enumerate(zip(indices, costs, profits)):
+        if len(f_cost) > m:
+            if order is None:
+                order = _ratio_order(costs, profits, capacity)
+                room = capacity
+                lb = 0
+                for t in order:
+                    if costs[t] <= room:
+                        room -= costs[t]
+                        lb += profits[t]
+            lb = max(lb, f_profit[-1])
+            pc, pp, bc, bp = _bound_table(order, costs, profits, pos)
+            # states with p >= lb always survive, and profits increase
+            low = bisect_left(f_profit, lb)
+            w = 0
+            for i in range(low):
+                r = capacity - f_cost[i]
+                k = bisect_right(pc, r) - 1
+                if f_profit[i] + pp[k] + (r - pc[k]) * bp[k] // bc[k] >= lb:
+                    f_cost[w] = f_cost[i]
+                    f_profit[w] = f_profit[i]
+                    f_id[w] = f_id[i]
+                    w += 1
+            del f_cost[w:low], f_profit[w:low], f_id[w:low]
         # the states this item can extend are a prefix of the frontier
         k = bisect_right(f_cost, capacity - cost)
         n = len(f_cost)

@@ -132,6 +132,19 @@ def _solve_sub(sub, reduced, backend, cfg):
     )
 
 
+def _beats(profit, verts: tuple[int, ...], best) -> bool:
+    """Whether a candidate beats best, a (profit, vertices, ...) tuple or None.
+
+    The one tie-break rule: higher profit wins, and equal profits go to
+    the lexicographically smallest vertex tuple.
+    """
+    return (
+        best is None
+        or profit > best[0]
+        or (profit == best[0] and verts < best[1])
+    )
+
+
 def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, RunReport]:
     """Best feasible solution among all class candidates and fallbacks.
 
@@ -150,21 +163,7 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     subs = decompose(prep)
     always = frozenset(prep.always_include)
 
-    best_profit = None
-    best_verts: tuple[int, ...] = ()
-    best_class = 0
-
-    def offer(profit, verts: tuple[int, ...], class_tag: int):
-        nonlocal best_profit, best_verts, best_class
-        if (
-            best_profit is None
-            or profit > best_profit
-            or (profit == best_profit and verts < best_verts)
-        ):
-            best_profit = profit
-            best_verts = verts
-            best_class = class_tag
-
+    best = None  # (profit, vertices, class_tag) of the best feasible candidate
     records = []
     for sub in subs:
         outcome = _solve_sub(sub, prep.reduced, backend, cfg)
@@ -172,7 +171,9 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
         cost, profit = evaluate(inst, lifted)
         feasible = cost <= inst.limit
         if feasible:
-            offer(profit, tuple(sorted(lifted)), sub.class_tag)
+            verts = tuple(sorted(lifted))
+            if _beats(profit, verts, best):
+                best = (profit, verts, sub.class_tag)
         records.append(
             SubRecord(
                 class_tag=sub.class_tag,
@@ -196,23 +197,15 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
         elif v in always and u not in always:
             attach[u] += p
 
-    scan_best_profit = base_profit
-    scan_best_verts = tuple(sorted(always))
-    scan_best_size = len(always)
-
-    def offer_scan(profit, verts):
-        nonlocal scan_best_profit, scan_best_verts, scan_best_size
-        if profit > scan_best_profit or (
-            profit == scan_best_profit and verts < scan_best_verts
-        ):
-            scan_best_profit = profit
-            scan_best_verts = verts
-            scan_best_size = len(verts)
-
+    scan = (base_profit, tuple(sorted(always)))
     for v in range(inst.n):
         if v not in always and inst.cost[v] <= inst.limit:
             profit = base_profit + inst.vprofit[v] + attach[v]
-            offer_scan(profit, tuple(sorted(always | {v})))
+            # only a profit that beats or ties the best can win
+            if profit >= scan[0]:
+                verts = tuple(sorted(always | {v}))
+                if _beats(profit, verts, scan):
+                    scan = (profit, verts)
     for u, v, p in inst.edges:
         if u in always or v in always:
             continue
@@ -225,22 +218,27 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
                 + attach[u]
                 + attach[v]
             )
-            offer_scan(profit, tuple(sorted(always | {u, v})))
+            if profit >= scan[0]:
+                verts = tuple(sorted(always | {u, v}))
+                if _beats(profit, verts, scan):
+                    scan = (profit, verts)
 
-    offer(scan_best_profit, scan_best_verts, 0)
-    scan_cost, scan_profit = evaluate(inst, scan_best_verts)
+    if _beats(*scan, best):
+        best = (*scan, 0)
+    scan_cost, scan_profit = evaluate(inst, scan[1])
     records.append(
         SubRecord(
             class_tag=0,
             case="singleton_pair_scan",
             fallbacks=(),
-            size=scan_best_size,
+            size=len(scan[1]),
             cost=scan_cost,
             profit=scan_profit,
             feasible=True,
         )
     )
 
+    _, best_verts, best_class = best
     cost, profit = evaluate(inst, best_verts)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     solution = Solution(best_verts, cost, profit)

@@ -113,12 +113,14 @@ def _rounded_edges(n: int, edges) -> tuple[tuple, tuple[Rational, ...]]:
     q = smallest_int_above_log2(n * n)
     levels = tuple(pow2(l_exp - j) for j in range(q + 1)) + (0,)
     cutoff = l_exp - q
-    rounded = []
-    for u, v, p in edges:
+    # edge profits repeat, so round each distinct value once
+    level_of = {}
+    for p in {p for _, _, p in edges}:
         e = floor_log2(p)
         if e >= cutoff:
-            rounded.append((u, v, pow2(e)))
-    return tuple(rounded), levels
+            level_of[p] = pow2(e)
+    rounded = tuple((u, v, level_of[p]) for u, v, p in edges if p in level_of)
+    return rounded, levels
 
 
 def round_profits(inst: QkpInstance) -> tuple[QkpInstance, tuple[Rational, ...]]:

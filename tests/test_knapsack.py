@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_knapsack_exact, reference_knapsack_fptas
+from qkpapprox import knapsack, prepare, random_instance
 from qkpapprox.errors import CapacityError
 from qkpapprox.knapsack import knapsack_exact, knapsack_fptas
 
@@ -176,3 +178,92 @@ def test_integer_sweep_matches_rational_reference(items, capacity, eps):
         items, capacity, eps
     )
     assert knapsack_exact(items, capacity) == reference_knapsack_exact(items, capacity)
+
+
+def _bound_spy():
+    """Patch the sweep's bound-table helper with a call-counting wrapper."""
+    return mock.patch.object(knapsack, "_bound_table", wraps=knapsack._bound_table)
+
+
+# long item lists, so the frontier outgrows the item count and the sweep
+# prunes: a few distinct values for heavy ties, zero costs, small profits
+_long_costs = st.one_of(
+    st.integers(0, 300), st.sampled_from([0, 1, 2, 50, 100, 150, 200])
+)
+_long_profits = st.one_of(st.integers(0, 30), st.sampled_from([0, 1, 4, 5, 8]))
+# tiny values: the LP bound often equals lb exactly along the best chain
+_tight_items = st.tuples(st.integers(0, 6), st.integers(0, 3))
+
+
+@st.composite
+def _long_knapsacks(draw):
+    items = draw(
+        st.one_of(
+            st.lists(st.tuples(_long_costs, _long_profits), min_size=20, max_size=60),
+            st.lists(_tight_items, min_size=20, max_size=60),
+        )
+    )
+    total_cost = sum(c for c, _ in items)
+    # about half the total cost, as an int or a Fraction
+    capacity = draw(
+        st.sampled_from(
+            [
+                total_cost // 2,
+                total_cost // 2 + 1,
+                Fraction(total_cost, 2),
+                Fraction(total_cost, 3),
+                Fraction(3 * total_cost + 1, 7),
+            ]
+        )
+    )
+    return items, capacity
+
+
+@settings(max_examples=60)
+@given(knap=_long_knapsacks(), eps=_eps)
+def _check_long_sweep(knap, eps):
+    items, capacity = knap
+    assert knapsack_fptas(items, capacity, eps) == reference_knapsack_fptas(
+        items, capacity, eps
+    )
+    assert knapsack_exact(items, capacity) == reference_knapsack_exact(items, capacity)
+
+
+def test_pruned_sweep_matches_rational_reference():
+    with _bound_spy() as spy:
+        _check_long_sweep()
+    assert spy.called  # the pruning branch ran
+
+
+def test_pruned_sweep_keeps_states_at_the_bound():
+    # a bound equal to lb must keep the state: off-by-one pruning rules
+    # empty or cut the frontier here
+    rng = random.Random(5)
+    with _bound_spy() as spy:
+        for _ in range(20):
+            items = [(rng.randint(0, 6), rng.randint(0, 3)) for _ in range(20)]
+            total_cost = sum(c for c, _ in items)
+            for capacity in (total_cost // 2, Fraction(total_cost, 2)):
+                assert knapsack_fptas(items, capacity, Fraction(1, 2)) == (
+                    reference_knapsack_fptas(items, capacity, Fraction(1, 2))
+                )
+                assert knapsack_exact(items, capacity) == reference_knapsack_exact(
+                    items, capacity
+                )
+    assert spy.called
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pruned_class1_knapsack_matches_reference(seed):
+    # the class-1 call of solve: the reduced instance's vertex profits
+    # under its Fraction limit
+    reduced = prepare(random_instance(100, 0.1, 1000, 1000, "1/2", seed=seed)).reduced
+    items = list(zip(reduced.cost, reduced.vprofit))
+    limit = reduced.limit
+    eps = Fraction(1, 4)
+    with _bound_spy() as spy:
+        chosen = knapsack_fptas(items, limit, eps)
+        exact = knapsack_exact(items, limit)
+    assert spy.called
+    assert chosen == reference_knapsack_fptas(items, limit, eps)
+    assert exact == reference_knapsack_exact(items, limit)
