@@ -2,7 +2,9 @@
 
 Decomposes an instance into structured sub-instances solved via knapsack
 FPTAS, degree-greedy selection and pluggable densest-k-subgraph backends,
-then returns the best candidate re-evaluated on the original instance.
+then returns the best feasible candidate on the original instance.  Costs
+are compared in integer units; a candidate's profit is evaluated only when
+a degree bound says it can win or tie.
 """
 
 from .classsolvers import (

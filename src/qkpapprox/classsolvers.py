@@ -71,11 +71,14 @@ def replicate(sub: SubInstance) -> ReplicatedGraph:
         base = n_a + b_index[b] * d
         for j in range(d):
             edges.append((a_local[a], base + j))
+    # light ids lie below every copy id and each edge is emitted once, so
+    # sorting makes the list canonical
+    edges.sort()
     return ReplicatedGraph(
         d=d,
         a_members=tuple(part_a),
         b_members=tuple(part_b),
-        graph=UGraph(n=n_a + d * len(part_b), edges=tuple(edges)),
+        graph=UGraph.from_canonical(n_a + d * len(part_b), tuple(edges)),
         sub=sub,
     )
 
@@ -101,8 +104,7 @@ def _limit_over(sub: SubInstance, divisor) -> int:
 
 def _case1_applies(sub: SubInstance, n_a: int, alpha: Rational) -> bool:
     """n_a <= limit^((1+a)/(1-a)) for alpha a = p/q in [0, 1), in ints."""
-    a = Fraction(alpha)
-    p, q = a.numerator, a.denominator
+    p, q = alpha.numerator, alpha.denominator
     num, den = sub.limit_ratio()  # limit = num/den
     return n_a ** (q - p) * den ** (q + p) <= num ** (q + p)
 
@@ -132,9 +134,9 @@ def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
         return ClassOutcome(_best_small_subset(sub, 3), "enum_small")
     members = tuple(sub.vertices)
     local = {v: i for i, v in enumerate(members)}
-    graph = UGraph(
-        n=len(members),
-        edges=tuple((local[u], local[v]) for u, v in sub.edges),
+    # members are sorted and sub.edges canonical, so the relabeled edges are
+    graph = UGraph.from_canonical(
+        len(members), tuple((local[u], local[v]) for u, v in sub.edges)
     )
     chosen, fallbacks = _dks_with_fallback(graph, t, backend)
     return ClassOutcome(

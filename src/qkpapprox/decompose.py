@@ -15,7 +15,7 @@ Costs of classes 3-5 are rescaled so the light side lies in (1, 2] (class
 for a power of two d.  The cost limit is divided by the same scale.
 
 No rescaled cost is stored.  Every sub-instance shares prepare's integer
-cost units (cost * den, den the lcm of the denominators of the reduced
+cost units (cost * den, den the lcm of the denominators of the original
 costs and the limit) and the limit in the same units, and records its
 scale as cost_scale = 2**scale_exp.  One positive factor, den *
 cost_scale, turns units into scaled values, so a subset fits the scaled
@@ -37,9 +37,10 @@ from .rational import Rational, as_rational, pow2, rational_to_json
 class SubInstance:
     """One class-tagged restricted problem over reduced vertex ids.
 
-    vertices lists all members; part_a/part_b are set for the bipartite
-    classes 4 and 5 (part_a is the lighter side).  cost_units (by reduced
-    id) and limit_units are prepare's units; scaled_cost(v) is
+    vertices lists all members, sorted, and edges the sorted (u, v) pairs
+    with u < v; part_a/part_b are set for the bipartite classes 4 and 5
+    (part_a is the lighter side).  cost_units (by reduced id) and
+    limit_units are prepare's units; scaled_cost(v) is
     cost_units[v] / (den * cost_scale), cost_scale = 2**scale_exp.
     buckets: (i, i) for classes 2/3, (tail, i) for class 4, and (i, j)
     with i < j for class 5 (part_a lives in bucket j, part_b in i).

@@ -38,6 +38,19 @@ class UGraph:
                 raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
             canon.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+        self._set_adj()
+
+    @classmethod
+    def from_canonical(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "UGraph":
+        """A graph from edges already canonical: sorted, u < v, no repeats,
+        endpoints in 0..n-1.  Nothing is checked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        graph._set_adj()
+        return graph
+
+    def _set_adj(self):
         adj = [set() for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].add(v)

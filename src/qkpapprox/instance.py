@@ -42,6 +42,22 @@ class QkpInstance:
         object.__setattr__(self, "limit", as_rational(self.limit))
         object.__setattr__(self, "_adj", None)
 
+    @classmethod
+    def from_canonical(cls, n, cost, vprofit, edges, limit) -> "QkpInstance":
+        """An instance from fields already in the form __post_init__ leaves
+        them: tuples of ints and non-integral Fractions, edges with u < v.
+
+        Nothing is checked or converted, so the data must come from a
+        valid instance (prepare's reduced instance does).
+        """
+        inst = object.__new__(cls)
+        for name, value in (
+            ("n", n), ("cost", cost), ("vprofit", vprofit), ("edges", edges),
+            ("limit", limit), ("_adj", None),
+        ):
+            object.__setattr__(inst, name, value)
+        return inst
+
     def adjacency(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
         """Per-vertex sorted (neighbor, edge profit) lists; O(deg) queries."""
         if self._adj is None:

@@ -6,12 +6,15 @@ rounds profits to integers via the standard p_hat = floor(p * n / (eps *
 p_max)) transformation.  Ties always prefer excluding the newest item, so
 outputs are deterministic and lean toward low item indices.
 
-Callers pass exact rationals.  Before the sweep, costs and profits are
+Callers pass exact rationals, and no rational arithmetic runs per item.
+An item is usable when its cost fits the capacity, compared by cross
+multiplication, and its profit is positive.  Costs and profits are then
 scaled to integers by the lcm of their denominators, and the capacity is
 scaled by the cost factor and floored.  This is exact: scaling by a
 positive factor keeps every comparison, and a sum of integers is at most
-C exactly when it is at most floor(C).  The sweep then runs on flat int
-lists, with no rational arithmetic.
+C exactly when it is at most floor(C).  The FPTAS's profit scaling is an
+integer quotient on the profit units P: p_hat = floor(P * n * q / (r *
+P_max)) for eps = r/q.  The sweep then runs on flat int lists.
 
 The sweep prunes by an upper bound (Martello, Pisinger & Toth 1999).  It
 keeps a feasible profit lb and drops every state whose profit plus the
@@ -24,8 +27,6 @@ argument.
 
 from array import array
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
-from math import floor
 
 from .errors import CapacityError
 from .rational import as_rational, to_units
@@ -197,11 +198,25 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
+def _usable(items, capacity):
+    """(index, cost, profit) of each item that fits and has positive profit,
+    and the capacity, all validated exact rationals."""
+    norm, capacity = _check_items(items, capacity)
+    num, den = capacity.numerator, capacity.denominator
+    usable = [
+        (i, c, p)
+        for i, (c, p) in enumerate(norm)
+        if p.numerator > 0 and c.numerator * den <= num * c.denominator
+    ]
+    return usable, capacity
+
+
 def _integral(usable, capacity):
     """(indices, costs, profits, capacity) of (index, cost, profit) triples, in ints."""
     indices, costs, profits = zip(*usable)
     costs, factor = to_units(costs)
-    return indices, costs, to_units(profits)[0], floor(capacity * factor)
+    capacity = capacity.numerator * factor // capacity.denominator
+    return indices, costs, to_units(profits)[0], capacity
 
 
 def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
@@ -211,20 +226,18 @@ def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
     eps must lie strictly in (0, 1).
     """
     eps = as_rational(eps)
-    if not 0 < eps < 1:
+    if not 0 < eps.numerator < eps.denominator:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    norm, capacity = _check_items(items, capacity)
-    usable = [
-        (i, c, p) for i, (c, p) in enumerate(norm) if c <= capacity and p > 0
-    ]
+    usable, capacity = _usable(items, capacity)
     if not usable:
         return ()
-    p_max = max(p for _, _, p in usable)
-    scale = Fraction(len(usable)) / (Fraction(eps) * Fraction(p_max))
+    units, _ = to_units([p for _, _, p in usable])
+    num = len(usable) * eps.denominator
+    den = eps.numerator * max(units)
     # the p_max item always scales to >= 1, so the sweep is never empty
     scaled = []
-    for i, c, p in usable:
-        p_hat = int(p * scale)
+    for (i, c, _), p in zip(usable, units):
+        p_hat = p * num // den
         if p_hat > 0:
             scaled.append((i, c, p_hat))
     return _sweep(*_integral(scaled, capacity))
@@ -237,10 +250,7 @@ def knapsack_exact(items, capacity, max_items: int = DEFAULT_MAX_ITEMS) -> tuple
     in the integer units the costs are scaled to, is small enough to bound
     the frontier; otherwise CapacityError.
     """
-    norm, capacity = _check_items(items, capacity)
-    usable = [
-        (i, c, p) for i, (c, p) in enumerate(norm) if c <= capacity and p > 0
-    ]
+    usable, capacity = _usable(items, capacity)
     if not usable:
         return ()
     indices, costs, profits, capacity = _integral(usable, capacity)

@@ -8,7 +8,7 @@ guards every degenerate path.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -53,24 +53,43 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SubRecord:
-    """One candidate: which sub-instance (or the fallback scan) produced it."""
+    """One candidate: which sub-instance (or the fallback scan) produced it.
+
+    vertices is the candidate lifted to original ids, always-include
+    vertices added, sorted; feasible says whether its cost fits the
+    instance's limit.  size, cost and profit are derived from vertices on
+    the original instance when read, so a candidate that cannot win is
+    never evaluated unless its record is.
+    """
 
     class_tag: int  # 0 marks the singleton/edge-pair fallback scan
     case: str
     fallbacks: tuple[str, ...]
-    size: int
-    cost: Rational
-    profit: Rational
+    vertices: tuple[int, ...]
     feasible: bool
+    instance: QkpInstance = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def cost(self) -> Rational:
+        return evaluate(self.instance, self.vertices)[0]
+
+    @property
+    def profit(self) -> Rational:
+        return evaluate(self.instance, self.vertices)[1]
 
     def to_json_obj(self) -> dict:
+        cost, profit = evaluate(self.instance, self.vertices)
         return {
             "class": self.class_tag,
             "case": self.case,
             "fallbacks": list(self.fallbacks),
             "size": self.size,
-            "cost": rational_to_json(self.cost),
-            "profit": rational_to_json(self.profit),
+            "cost": rational_to_json(cost),
+            "profit": rational_to_json(profit),
             "feasible": self.feasible,
         }
 
@@ -148,9 +167,13 @@ def _beats(profit, verts: tuple[int, ...], best) -> bool:
 def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, RunReport]:
     """Best feasible solution among all class candidates and fallbacks.
 
-    Candidates are always re-evaluated against the original, unrounded
-    profits; ties between equal-profit candidates go to the
-    lexicographically smallest vertex set.
+    Feasibility is decided on the original costs and limit, in prepare's
+    integer units.  A feasible candidate is evaluated against the
+    original, unrounded profits only when an upper bound on its profit,
+    its vertex profits plus half their weighted degrees, reaches the best
+    profit so far; one strictly below can neither win nor tie.  Ties
+    between equal-profit candidates go to the lexicographically smallest
+    vertex set.
     """
     cfg = cfg or SolveConfig()
     problems = validate(inst)
@@ -161,37 +184,20 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     t0 = time.perf_counter()
     prep = prepare(inst)
     subs = decompose(prep)
-    always = frozenset(prep.always_include)
-
-    best = None  # (profit, vertices, class_tag) of the best feasible candidate
-    records = []
-    for sub in subs:
-        outcome = _solve_sub(sub, prep.reduced, backend, cfg)
-        lifted = frozenset(prep.orig_of[r] for r in outcome.vertices) | always
-        cost, profit = evaluate(inst, lifted)
-        feasible = cost <= inst.limit
-        if feasible:
-            verts = tuple(sorted(lifted))
-            if _beats(profit, verts, best):
-                best = (profit, verts, sub.class_tag)
-        records.append(
-            SubRecord(
-                class_tag=sub.class_tag,
-                case=outcome.case,
-                fallbacks=outcome.fallbacks,
-                size=len(lifted),
-                cost=cost,
-                profit=profit,
-                feasible=feasible,
-            )
-        )
+    always = prep.always_include
+    units, limit = prep.orig_cost_units, prep.limit_units
 
     # universal fallback scan: the always-include set alone, every feasible
     # single vertex and every feasible edge pair (each unioned with the
-    # zero-cost always-include set, which never adds cost)
-    base_cost, base_profit = evaluate(inst, always)
+    # zero-cost always-include set, which never adds cost).  Its edge loop
+    # also builds twice each vertex's share of the candidates' bound:
+    # 2 * vertex profit + weighted degree.
+    base_profit = prep.base_profit
     attach = [0] * inst.n
+    share = [2 * p for p in inst.vprofit]
     for u, v, p in inst.edges:
+        share[u] += p
+        share[v] += p
         if u in always and v not in always:
             attach[v] += p
         elif v in always and u not in always:
@@ -199,7 +205,7 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
 
     scan = (base_profit, tuple(sorted(always)))
     for v in range(inst.n):
-        if v not in always and inst.cost[v] <= inst.limit:
+        if v not in always and units[v] <= limit:
             profit = base_profit + inst.vprofit[v] + attach[v]
             # only a profit that beats or ties the best can win
             if profit >= scan[0]:
@@ -209,7 +215,7 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     for u, v, p in inst.edges:
         if u in always or v in always:
             continue
-        if inst.cost[u] + inst.cost[v] <= inst.limit:
+        if units[u] + units[v] <= limit:
             profit = (
                 base_profit
                 + inst.vprofit[u]
@@ -223,18 +229,42 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
                 if _beats(profit, verts, scan):
                     scan = (profit, verts)
 
+    best = None  # (profit, vertices, class_tag) of the best feasible candidate
+    records = []
+    for sub in subs:
+        outcome = _solve_sub(sub, prep.reduced, backend, cfg)
+        verts = tuple(sorted(always.union(prep.orig_of[r] for r in outcome.vertices)))
+        feasible = sum(units[v] for v in verts) <= limit
+        # profit <= vertex profits + half the weighted degrees (edge profits
+        # are nonnegative and an induced edge counts at both ends); a bound
+        # equal to the best can still tie, so only one below it is skipped
+        if feasible and (
+            best is None or sum(share[v] for v in verts) >= 2 * best[0]
+        ):
+            profit = evaluate(inst, verts)[1]
+            if _beats(profit, verts, best):
+                best = (profit, verts, sub.class_tag)
+        records.append(
+            SubRecord(
+                class_tag=sub.class_tag,
+                case=outcome.case,
+                fallbacks=outcome.fallbacks,
+                vertices=verts,
+                feasible=feasible,
+                instance=inst,
+            )
+        )
+
     if _beats(*scan, best):
         best = (*scan, 0)
-    scan_cost, scan_profit = evaluate(inst, scan[1])
     records.append(
         SubRecord(
             class_tag=0,
             case="singleton_pair_scan",
             fallbacks=(),
-            size=len(scan[1]),
-            cost=scan_cost,
-            profit=scan_profit,
+            vertices=scan[1],
             feasible=True,
+            instance=inst,
         )
     )
 

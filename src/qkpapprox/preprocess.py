@@ -10,7 +10,7 @@ sub-instance decomposition.
 from dataclasses import dataclass
 
 from .instance import QkpInstance
-from .rational import Rational, ceil_log2, floor_log2, pow2, to_units
+from .rational import Rational, as_rational, ceil_log2, floor_log2, pow2, to_units
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,19 @@ class PruneResult:
 class PreparedInstance:
     """Pruned, rounded and bucketed instance plus lift-back metadata.
 
-    profit_levels is the descending ladder of edge-profit values
-    (powers of two, then 0); bucket_of maps each reduced vertex to its
-    dyadic cost bucket 1..l_buckets+1, where bucket l_buckets+1 is the
-    tail of costs <= 2**(k_exp - l_buckets).  den is the lcm of the
-    denominators of the reduced costs and the limit; cost_units[v] is
-    reduced.cost[v] * den and limit_units is reduced.limit * den, all ints.
+    reduced is the pruned instance over dense reduced ids, with folded
+    vertex profits and rounded edge profits; orig_of maps a reduced id to
+    its original id.  always_include holds the original ids of the folded
+    zero-cost vertices, and base_profit is their profit together.
+    profit_levels is the descending ladder of edge-profit values (powers
+    of two, then 0); bucket_of maps each reduced vertex to its dyadic cost
+    bucket 1..l_buckets+1, where bucket l_buckets+1 is the tail of costs
+    <= 2**(k_exp - l_buckets).
+
+    Costs in integer units: den is the lcm of the denominators of the
+    original costs and the limit.  orig_cost_units[v] is the original
+    vertex v's cost * den, cost_units[r] is reduced.cost[r] * den and
+    limit_units is the limit * den, all ints.
     """
 
     reduced: QkpInstance
@@ -44,23 +51,28 @@ class PreparedInstance:
     den: int
     cost_units: tuple[int, ...]
     limit_units: int
+    orig_cost_units: tuple[int, ...]
 
 
-def _prune_parts(inst: QkpInstance):
-    """prune's result, with the reduced instance still as (cost, vprofit, edges)."""
+def _prune_parts(inst: QkpInstance, units):
+    """prune's result, with the reduced instance still as (cost, vprofit, edges).
+
+    units are inst's costs and then its limit, as to_units scales them.
+    """
     n = inst.n
-    affordable = [v for v in range(n) if inst.cost[v] <= inst.limit]
+    limit = units[-1]
+    affordable = [v for v in range(n) if units[v] <= limit]
     affordable_set = set(affordable)
     live_edges = [
         (u, v, p)
         for u, v, p in inst.edges
         if u in affordable_set
         and v in affordable_set
-        and inst.cost[u] + inst.cost[v] <= inst.limit
+        and units[u] + units[v] <= limit
         and p > 0
     ]
 
-    zero = [v for v in affordable if inst.cost[v] == 0]
+    zero = [v for v in affordable if units[v] == 0]
     zero_set = set(zero)
     base_profit: Rational = sum((inst.vprofit[z] for z in zero), 0)
     extra_vp = {v: 0 for v in affordable}
@@ -80,7 +92,13 @@ def _prune_parts(inst: QkpInstance):
     new_id = {v: i for i, v in enumerate(survivors)}
     parts = (
         tuple(inst.cost[v] for v in survivors),
-        tuple(inst.vprofit[v] + extra_vp[v] for v in survivors),
+        # a folded sum of Fractions can be integral: normalise it to an int
+        tuple(
+            as_rational(inst.vprofit[v] + extra_vp[v])
+            if extra_vp[v]
+            else inst.vprofit[v]
+            for v in survivors
+        ),
         tuple((new_id[u], new_id[v], p) for u, v, p in kept_edges),
     )
     return parts, base_profit, frozenset(zero), tuple(survivors)
@@ -95,8 +113,10 @@ def prune(inst: QkpInstance) -> PruneResult:
     each surviving incident edge profit moves onto the neighbour's vertex
     profit.  The remaining instance is relabeled densely.
     """
-    (cost, vprofit, edges), *folded = _prune_parts(inst)
-    return PruneResult(QkpInstance(len(cost), cost, vprofit, edges, inst.limit), *folded)
+    units, _ = to_units(inst.cost + (inst.limit,))
+    (cost, vprofit, edges), *folded = _prune_parts(inst, units)
+    reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
+    return PruneResult(reduced, *folded)
 
 
 def smallest_int_above_log2(n: int) -> int:
@@ -163,14 +183,19 @@ def bucket_costs(inst: QkpInstance) -> tuple[dict[int, int], int, int]:
 
 
 def prepare(inst: QkpInstance) -> PreparedInstance:
-    """Full preparation pipeline: prune, round profits, bucket costs."""
-    (cost, vprofit, edges), base_profit, always_include, orig_of = _prune_parts(inst)
+    """Full preparation pipeline: prune, round profits, bucket costs.
+
+    The reduced instance takes inst's values, already in canonical form,
+    without converting them again.
+    """
+    units, den = to_units(inst.cost + (inst.limit,))
+    parts, base_profit, always_include, orig_of = _prune_parts(inst, units)
+    cost, vprofit, edges = parts
     levels = ()
     if edges:
         edges, levels = _rounded_edges(len(cost), edges)
-    reduced = QkpInstance(len(cost), cost, vprofit, edges, inst.limit)  # built once
+    reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
     bucket_of, k_exp, l_buckets = bucket_costs(reduced)
-    units, den = to_units(reduced.cost + (reduced.limit,))
     return PreparedInstance(
         reduced=reduced,
         base_profit=base_profit,
@@ -181,6 +206,7 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
         k_exp=k_exp,
         l_buckets=l_buckets,
         den=den,
-        cost_units=tuple(units[:-1]),
+        cost_units=tuple(units[v] for v in orig_of),
         limit_units=units[-1],
+        orig_cost_units=tuple(units[:-1]),
     )

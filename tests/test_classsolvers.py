@@ -26,7 +26,7 @@ from qkpapprox.classsolvers import (
     solve_class5,
 )
 from qkpapprox.decompose import subinstance_as_qkp
-from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND
+from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, UGraph
 from qkpapprox.instance import QkpInstance
 from qkpapprox.oracle import exact_qkp
 
@@ -132,6 +132,20 @@ def test_replicated_graph_shape():
     assert len(rep.graph.edges) == 2
     assert rep.costs[1] == rep.costs[2] == Fraction(3, 2)
     assert rep.copy_base(1) == rep.copy_base(2) == 1
+
+
+def test_replicated_graph_is_canonical():
+    # light ids above heavy ids, so sub.edges come in heavy-vertex order
+    # and the copies' edges must be sorted before the graph trusts them
+    sub = make_sub(
+        5, [3, 3, Fraction(3, 2), Fraction(3, 2)], [(0, 2), (0, 3), (1, 2)],
+        limit=12, part_a=(2, 3), part_b=(0, 1), d=2,
+    )
+    rng = random.Random(7)
+    for sub in [sub] + [random_class5_case2_sub(rng) for _ in range(10)]:
+        graph = replicate(sub).graph
+        checked = UGraph(graph.n, graph.edges)
+        assert (graph.edges, graph.adj) == (checked.edges, checked.adj)
 
 
 def test_replicated_degrees_match_base():

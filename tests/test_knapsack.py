@@ -168,7 +168,18 @@ _items = st.one_of(st.lists(st.tuples(_costs, _profits), max_size=14), _tied_ite
 _capacities = st.one_of(
     st.integers(0, 40), st.builds(Fraction, st.integers(0, 160), _denominators)
 )
-_eps = st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 10), Fraction(2, 3)])
+# numerators above 1 and large denominators check the integer profit scaling
+_eps = st.sampled_from(
+    [
+        Fraction(1, 2),
+        Fraction(1, 4),
+        Fraction(1, 10),
+        Fraction(2, 3),
+        Fraction(1, 3),
+        Fraction(2, 7),
+        Fraction(99, 100),
+    ]
+)
 
 
 @settings(max_examples=300)
@@ -190,7 +201,11 @@ def _bound_spy():
 _long_costs = st.one_of(
     st.integers(0, 300), st.sampled_from([0, 1, 2, 50, 100, 150, 200])
 )
-_long_profits = st.one_of(st.integers(0, 30), st.sampled_from([0, 1, 4, 5, 8]))
+_long_profits = st.one_of(
+    st.integers(0, 30),
+    st.sampled_from([0, 1, 4, 5, 8]),
+    st.builds(Fraction, st.integers(0, 90), st.sampled_from([2, 3, 7])),
+)
 # tiny values: the LP bound often equals lb exactly along the best chain
 _tight_items = st.tuples(st.integers(0, 6), st.integers(0, 3))
 

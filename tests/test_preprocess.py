@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import brute_force_opt, qkp_instances
+from helpers import brute_force_opt, qkp_instances, rational_cost_instance
 from qkpapprox.instance import QkpInstance
 from qkpapprox.preprocess import bucket_costs, prepare, prune, round_profits
 from qkpapprox.rational import pow2
@@ -225,3 +225,27 @@ def test_prepare_empty_instance():
     assert prep.reduced.n == 0
     assert prep.profit_levels == ()
     assert prep.bucket_of == {}
+
+
+def test_reduced_instance_is_canonical():
+    # vertex 1 folds 1/2 + 1/2 from zero-cost vertex 0: the int 1, as a
+    # checked construction would store it
+    folded = QkpInstance(
+        n=3, cost=(0, 1, 2), vprofit=(0, Fraction(1, 2), Fraction(1, 3)),
+        edges=((0, 1, Fraction(1, 2)), (1, 2, 3)), limit=Fraction(7, 2),
+    )
+    assert type(prune(folded).reduced.vprofit[0]) is int
+    for inst in [folded] + [rational_cost_instance(seed) for seed in range(30)]:
+        for reduced in (prune(inst).reduced, prepare(inst).reduced):
+            checked = QkpInstance(
+                reduced.n, reduced.cost, reduced.vprofit, reduced.edges, reduced.limit
+            )
+            assert reduced == checked
+            for a, b in zip(
+                reduced.cost + reduced.vprofit + (reduced.limit,),
+                checked.cost + checked.vprofit + (checked.limit,),
+            ):
+                assert type(a) is type(b)
+            assert [type(p) for *_, p in reduced.edges] == [
+                type(p) for *_, p in checked.edges
+            ]
