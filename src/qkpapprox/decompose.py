@@ -39,9 +39,11 @@ class SubInstance:
 
     vertices lists all members, sorted, and edges the sorted (u, v) pairs
     with u < v; part_a/part_b are set for the bipartite classes 4 and 5
-    (part_a is the lighter side).  cost_units (by reduced id) and
-    limit_units are prepare's units; scaled_cost(v) is
-    cost_units[v] / (den * cost_scale), cost_scale = 2**scale_exp.
+    (part_a is the lighter side).  vprofit, set for class 1 only, is the
+    reduced instance's vertex-profit tuple, shared, by reduced id.
+    cost_units (by reduced id) and limit_units are prepare's units;
+    scaled_cost(v) is cost_units[v] / (den * cost_scale), cost_scale =
+    2**scale_exp.
     buckets: (i, i) for classes 2/3, (tail, i) for class 4, and (i, j)
     with i < j for class 5 (part_a lives in bucket j, part_b in i).
     """
@@ -56,7 +58,7 @@ class SubInstance:
     part_a: Optional[tuple[int, ...]] = None
     part_b: Optional[tuple[int, ...]] = None
     profit_level: Optional[Rational] = None
-    vertex_profit: Optional[dict[int, Rational]] = None
+    vprofit: Optional[tuple[Rational, ...]] = None
     buckets: Optional[tuple[int, int]] = None
     d_gap: Optional[Rational] = None
 
@@ -82,7 +84,7 @@ class SubInstance:
     def profit_mass(self) -> Rational:
         """Total profit carried by this sub-instance."""
         if self.class_tag == 1:
-            return sum(self.vertex_profit.values()) if self.vertex_profit else 0
+            return sum(self.vprofit) if self.vprofit else 0
         return self.profit_level * len(self.edges)
 
     def to_json_obj(self) -> dict:
@@ -121,7 +123,7 @@ def decompose(prep: PreparedInstance) -> list[SubInstance]:
             class_tag=1,
             vertices=tuple(range(inst.n)),
             edges=(),
-            vertex_profit={v: inst.vprofit[v] for v in range(inst.n)},
+            vprofit=inst.vprofit,
             **units,
         )
     ]
@@ -184,9 +186,10 @@ def subinstance_as_qkp(sub: SubInstance, unit_edge_profit: bool = False) -> tupl
     members = sub.vertices
     local = {v: i for i, v in enumerate(members)}
     profit = 1 if unit_edge_profit else (sub.profit_level or 1)
-    vp = tuple(
-        (sub.vertex_profit or {}).get(v, 0) for v in members
-    )
+    if sub.vprofit:
+        vp = tuple(sub.vprofit[v] for v in members)
+    else:
+        vp = (0,) * len(members)
     inst = QkpInstance(
         n=len(members),
         cost=tuple(sub.scaled_cost(v) for v in members),

@@ -6,8 +6,13 @@ Within it, when there are at most enum_budget k-subsets, a lexicographic
 branch and bound returns the set that plain enumeration in
 itertools.combinations order would (the first one with the most edges);
 enum_budget still bounds its worst case.  Past that, a node-budgeted
-branch and bound over a degree order runs.  The greedy backend peels
-minimum-degree vertices and never fails.
+branch and bound over a degree order runs.  Both searches prune with
+_completion_bound: each of the t vertices still to pick adds its edges
+into the chosen set plus at most min(t - 1, its degree into the
+candidates) edges among the picks, each counted at both ends.  It is
+valid, so it skips only prefixes that cannot beat the best, and it is
+never looser than assuming all C(t, 2) pairs among the picks are edges.
+The greedy backend peels minimum-degree vertices and never fails.
 """
 
 import heapq
@@ -106,12 +111,27 @@ def _neighbor_masks(graph: UGraph) -> list[int]:
     return masks
 
 
-def _completion_bound(cand_masks, mask: int, t: int) -> int:
+def _completion_bound(cand_masks, cand_bits: int, mask: int, t: int) -> int:
     """Most edges that t more vertices, drawn from cand_masks, can add to
-    the set with vertex bitmask mask: every pair among them plus their t
-    largest gains into the set."""
-    gains = sorted([(m & mask).bit_count() for m in cand_masks], reverse=True)
-    return t * (t - 1) // 2 + sum(gains[:t])
+    the set with vertex bitmask mask; cand_bits is the candidates' own
+    vertex bitmask.
+
+    A pick u adds its gain g_u into the set and at most min(t - 1, c_u)
+    edges to the other picks, c_u its degree into the candidates; each of
+    those edges is counted at both ends.  So the bound is half the sum of
+    the t largest 2 g_u + min(t - 1, c_u), floored.  It is valid: the t
+    picks T add sum g_u + 1/2 sum deg_T(u) edges, and deg_T(u) <=
+    min(t - 1, c_u).  It is never looser than C(t, 2) plus the t largest
+    gains, since the t largest of a sum are at most the t largest of each
+    part, and each cap is at most t - 1.
+    """
+    cap = t - 1
+    scores = []
+    for m in cand_masks:
+        d = (m & cand_bits).bit_count()
+        scores.append(2 * (m & mask).bit_count() + (d if d < cap else cap))
+    scores.sort(reverse=True)
+    return sum(scores[:t]) // 2
 
 
 def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
@@ -122,12 +142,15 @@ def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
     so its depth does not grow with k.  Each frame holds the next vertex to
     try and the prefix's vertex bitmask and induced edge count.  The best
     is replaced only on a strict gain.  A child prefix is skipped when its
-    edges plus _completion_bound cannot beat the best; the first maximum's
-    prefixes all bound above the best until it is reached, so skipping
-    never changes the result.  A child with one vertex left to pick is a
-    flat loop, and a child with exactly as many later vertices as it still
-    needs has one completion, scored directly; neither is bounded, since
-    the bound would cost what scoring does.
+    edges plus _completion_bound, over the vertices after it, cannot beat
+    the best.  That bound is valid, so the first maximum's prefixes all
+    bound above the best until it is reached, and skipping never changes
+    the result.  It is never looser than C(t, 2) plus the t largest gains,
+    so the walk visits a subset of the prefixes that bound would.  A child
+    with one vertex left to pick is a flat loop, and a child with exactly
+    as many later vertices as it still needs has one completion, scored
+    directly; neither is bounded, since the bound would cost what scoring
+    does.
     """
     if k == 1:
         return (0,)  # no single vertex induces an edge
@@ -161,7 +184,9 @@ def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
             if child_edges > best_edges:
                 best_edges = child_edges
                 best = (*prefix, *range(v, n))
-        elif (child_edges + _completion_bound(masks[v + 1:], child_mask, t - 1)
+        elif (child_edges  # (1 << n) - (2 << v): the bits of v + 1..n - 1
+              + _completion_bound(masks[v + 1:], (1 << n) - (2 << v),
+                                  child_mask, t - 1)
               > best_edges):
             prefix.append(v)
             frames.append([v + 1, child_mask, child_edges])
@@ -173,6 +198,10 @@ def _bb_exact(graph: UGraph, k: int, node_budget: int) -> tuple[int, ...]:
     n = graph.n
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
     masks = _neighbor_masks(graph)
+    order_masks = [masks[v] for v in order]
+    suffix_bits = [0] * (n + 1)  # suffix_bits[i]: vertex bitmask of order[i:]
+    for i in range(n - 1, -1, -1):
+        suffix_bits[i] = suffix_bits[i + 1] | 1 << order[i]
 
     best_edges = -1
     best_set: tuple[int, ...] = ()
@@ -191,7 +220,7 @@ def _bb_exact(graph: UGraph, k: int, node_budget: int) -> tuple[int, ...]:
         if n - idx < k - count:
             return
         bound = edges + _completion_bound(
-            (masks[order[j]] for j in range(idx, n)), chosen_mask, k - count
+            order_masks[idx:], suffix_bits[idx], chosen_mask, k - count
         )
         if bound <= best_edges:
             return

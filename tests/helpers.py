@@ -74,6 +74,14 @@ def reference_dks_enum(n: int, edges, k: int) -> tuple[int, ...]:
     return best
 
 
+def reference_completion_bound(cand_masks, mask: int, t: int) -> int:
+    """The completion bound dks._completion_bound tightened: every pair
+    among the t picks, C(t, 2), plus their t largest gains into the set
+    with vertex bitmask mask."""
+    gains = sorted([(m & mask).bit_count() for m in cand_masks], reverse=True)
+    return t * (t - 1) // 2 + sum(gains[:t])
+
+
 @st.composite
 def qkp_instances(
     draw,

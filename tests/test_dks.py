@@ -1,5 +1,6 @@
 """Densest-k-subgraph backends."""
 
+import itertools
 import math
 import random
 
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_dks, reference_dks_enum
+from helpers import brute_force_dks, reference_completion_bound, reference_dks_enum
 from qkpapprox.dks import (
     DEFAULT_ENUM_BUDGET,
     EXACT_BACKEND,
     GREEDY_BACKEND,
     DksBackend,
     UGraph,
+    _completion_bound,
     dks_exact,
     dks_greedy_peel,
     get_backend,
@@ -177,6 +179,57 @@ def test_exact_enumeration_path_handles_k_near_n(density):
     assert dks_exact(UGraph(n, edges), n - 1) == reference_dks_enum(n, edges, n - 1)
     if not edges:
         assert dks_exact(UGraph(n, edges), n - 1) == tuple(range(n - 1))
+
+
+@st.composite
+def completion_cases(draw):
+    """(n, edges, candidates, candidate bitmask, prefix) on n <= 12.
+
+    The candidates are an index suffix, with its bitmask built the way
+    _lex_first_densest builds it, or an arbitrary subset as in _bb_exact's
+    degree order; the prefix is a random subset of the other vertices.
+    """
+    n = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0, 0.3, 0.7, 1]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    ]
+    if draw(st.booleans()):
+        split = draw(st.integers(0, n - 1))
+        cands = list(range(split, n))
+        cand_bits = (1 << n) - (1 << split)
+    else:
+        cands = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        cand_bits = sum(1 << v for v in cands)
+    prefix = [v for v in range(n) if v not in cands and draw(st.booleans())]
+    return n, edges, cands, cand_bits, prefix
+
+
+@given(completion_cases())
+@settings(max_examples=200, deadline=None)
+def test_completion_bound_between_best_completion_and_reference(case):
+    n, edges, cands, cand_bits, prefix = case
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    cand_masks = [masks[v] for v in cands]
+    mask = sum(1 << v for v in prefix)
+    # best[t]: most edges any t candidates add to the prefix, from the edge list
+    best = [-1] * (len(cands) + 1)
+    for r in range(len(cands) + 1):
+        for picks in itertools.combinations(cands, r):
+            added = set(picks)
+            present = added.union(prefix)
+            gain = sum(
+                1 for u, v in edges if u in present and v in present
+                and (u in added or v in added)
+            )
+            best[r] = max(best[r], gain)
+    for t in range(len(cands) + 1):
+        bound = _completion_bound(cand_masks, cand_bits, mask, t)
+        assert best[t] <= bound <= reference_completion_bound(cand_masks, mask, t)
 
 
 @given(
