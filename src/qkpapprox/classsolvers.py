@@ -118,8 +118,43 @@ def _dks_with_fallback(graph: UGraph, k: int, backend: DksBackend):
 
 
 def solve_class2(sub: SubInstance) -> ClassOutcome:
-    """Take everything: tail costs are meant to fit inside the limit."""
-    return ClassOutcome(tuple(sub.vertices), "sum_all")
+    """The whole tail when it fits, else the best union of two tail parts.
+
+    Tail costs are at most 2^(k-l) with 2^l > n, so the tail costs less
+    than 2^k < 2c* <= 2*limit in all, which can exceed the limit.  Then
+    the tail is cut, next-fit in id order, into parts of at most
+    floor(limit/2) units each, and the fitting union of two parts with the
+    most sub edges is returned, the first pair on ties.
+
+    Guarantee: the whole tail keeps every sub edge.  An overflowing tail
+    of a decomposed instance keeps at least 1/21 of them.  There, every
+    tail cost is at most 2^(k-2) < c*/2 <= limit/2 (l >= 2 once a class-2
+    edge exists), so each part, and each union of two, fits.  Two
+    consecutive parts together exceed limit/2, and the tail is below
+    2*limit, so there are at most 7 parts and 21 pairs of them, and every
+    edge lies within some pair.
+    """
+    units, limit = sub.cost_units, sub.limit_units
+    if sum(units[v] for v in sub.vertices) <= limit:
+        return ClassOutcome(tuple(sub.vertices), "sum_all")
+    parts, load = [[]], 0
+    for v in sub.vertices:
+        if parts[-1] and load + units[v] > limit // 2:
+            parts.append([])
+            load = 0
+        parts[-1].append(v)
+        load += units[v]
+    best: tuple[int, ...] = ()
+    best_edges = -1
+    for first, second in combinations(parts, 2):
+        union = first + second
+        if sum(units[v] for v in union) > limit:
+            continue
+        chosen = set(union)
+        edges = sum(1 for u, v in sub.edges if u in chosen and v in chosen)
+        if edges > best_edges:
+            best_edges, best = edges, tuple(union)
+    return ClassOutcome(best, "tail_split")
 
 
 def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:

@@ -145,8 +145,10 @@ def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
     edges plus _completion_bound, over the vertices after it, cannot beat
     the best.  That bound is valid, so the first maximum's prefixes all
     bound above the best until it is reached, and skipping never changes
-    the result.  It is never looser than C(t, 2) plus the t largest gains,
-    so the walk visits a subset of the prefixes that bound would.  A child
+    the result.  Until the first complete subset is scored there is no
+    best to beat, so the first descent computes no bound.  The bound is
+    never looser than C(t, 2) plus the t largest gains, so the walk
+    visits a subset of the prefixes that bound would.  A child
     with one vertex left to pick is a flat loop, and a child with exactly
     as many later vertices as it still needs has one completion, scored
     directly; neither is bounded, since the bound would cost what scoring
@@ -184,10 +186,12 @@ def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
             if child_edges > best_edges:
                 best_edges = child_edges
                 best = (*prefix, *range(v, n))
-        elif (child_edges  # (1 << n) - (2 << v): the bits of v + 1..n - 1
-              + _completion_bound(masks[v + 1:], (1 << n) - (2 << v),
-                                  child_mask, t - 1)
-              > best_edges):
+        elif best_edges < 0 or (  # nothing to beat on the first descent
+            child_edges  # (1 << n) - (2 << v): the bits of v + 1..n - 1
+            + _completion_bound(masks[v + 1:], (1 << n) - (2 << v),
+                                child_mask, t - 1)
+            > best_edges
+        ):
             prefix.append(v)
             frames.append([v + 1, child_mask, child_edges])
     return best

@@ -143,17 +143,17 @@ def validate(inst: QkpInstance) -> list[str]:
             problems.append(f"negative vertex profit at vertex {i}")
     if inst.limit < 0:
         problems.append("negative cost limit")
-    seen = set()
+    n = inst.n
+    seen = set()  # u * n + v of each in-range edge: one int per ordered pair
     for u, v, p in inst.edges:
-        if u == v:
-            problems.append(f"self-loop at vertex {u}")
+        if not (0 <= u < v < n or 0 <= v < u < n):
+            problems.append(f"self-loop at vertex {u}" if u == v else
+                            f"edge ({u},{v}) has an out-of-range endpoint")
             continue
-        if not (0 <= u < inst.n and 0 <= v < inst.n):
-            problems.append(f"edge ({u},{v}) has an out-of-range endpoint")
-            continue
-        if (u, v) in seen:
+        key = u * n + v
+        if key in seen:
             problems.append(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
+        seen.add(key)
         if p < 0:
             problems.append(f"negative profit on edge ({u},{v})")
     return problems

@@ -5,9 +5,13 @@ and folds zero-cost vertices into a base profit (they are always worth
 taking).  Edge profits are then rounded down onto a dyadic level ladder,
 and vertex costs are grouped into dyadic buckets; both gadgets feed the
 sub-instance decomposition.
+
+prepare's one walk over the original edges, the only one in a solve, also
+gathers the candidate bounds' terms and the fallback scan's pairs.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .instance import QkpInstance
 from .rational import Rational, as_rational, ceil_log2, floor_log2, pow2, to_units
@@ -38,6 +42,12 @@ class PreparedInstance:
     original costs and the limit.  orig_cost_units[v] is the original
     vertex v's cost * den, cost_units[r] is reduced.cost[r] * den and
     limit_units is the limit * den, all ints.
+
+    By original id, weighted_degree[v] sums v's edge profits and
+    max_edge_profit[v] is the largest (0 if none).  fallback is the
+    (profit, original vertices) that wins, under _beats, among the
+    always-include set alone, with one affordable vertex, and with the
+    ends of one edge whose costs fit together, of any profit.
     """
 
     reduced: QkpInstance
@@ -52,56 +62,66 @@ class PreparedInstance:
     cost_units: tuple[int, ...]
     limit_units: int
     orig_cost_units: tuple[int, ...]
+    weighted_degree: tuple[Rational, ...]
+    max_edge_profit: tuple[Rational, ...]
+    fallback: tuple[Rational, tuple[int, ...]]
 
 
-def _prune_parts(inst: QkpInstance, units):
-    """prune's result, with the reduced instance still as (cost, vprofit, edges).
+def _beats(profit, verts: tuple[int, ...], best) -> bool:
+    """Whether a candidate beats best, a (profit, vertices, ...) tuple or None.
+
+    The one tie-break rule: higher profit wins, and equal profits go to
+    the lexicographically smallest vertex tuple.
+    """
+    return (
+        best is None
+        or profit > best[0]
+        or (profit == best[0] and verts < best[1])
+    )
+
+
+def _walk(inst: QkpInstance, units):
+    """Prune and fold (see prune) in one pass over inst.edges.
 
     units are inst's costs and then its limit, as to_units scales them.
+    Returns cost, vprofit and pairs over the reduced ids, then base_profit,
+    always_include, orig_of, weighted degrees and largest edge profits.
+    pairs are the (ru, rv, p) edges whose ends' costs fit together, of any
+    profit; costs are nonnegative, so both ends are affordable.
     """
-    n = inst.n
-    limit = units[-1]
-    affordable = [v for v in range(n) if units[v] <= limit]
-    affordable_set = set(affordable)
-    live_edges = [
-        (u, v, p)
-        for u, v, p in inst.edges
-        if u in affordable_set
-        and v in affordable_set
-        and units[u] + units[v] <= limit
-        and p > 0
-    ]
-
-    zero = [v for v in affordable if units[v] == 0]
-    zero_set = set(zero)
+    n, limit = inst.n, units[-1]
+    zero = [v for v in range(n) if units[v] == 0]
+    orig_of = tuple(v for v in range(n) if 0 < units[v] <= limit)
+    new_id = [-1] * n
+    for r, v in enumerate(orig_of):
+        new_id[v] = r
     base_profit: Rational = sum((inst.vprofit[z] for z in zero), 0)
-    extra_vp = {v: 0 for v in affordable}
-    kept_edges = []
-    for u, v, p in live_edges:
-        u_zero, v_zero = u in zero_set, v in zero_set
-        if u_zero and v_zero:
-            base_profit += p
-        elif u_zero:
-            extra_vp[v] += p
-        elif v_zero:
-            extra_vp[u] += p
+    extra = [0] * len(orig_of)
+    wdeg, maxp, pairs = [0] * n, [0] * n, []
+    for u, v, p in inst.edges:
+        wdeg[u] += p
+        wdeg[v] += p
+        if p > maxp[u]:
+            maxp[u] = p
+        if p > maxp[v]:
+            maxp[v] = p
+        if units[u] + units[v] > limit:
+            continue
+        ru, rv = new_id[u], new_id[v]
+        if ru >= 0 and rv >= 0:
+            pairs.append((ru, rv, p))
+        elif ru >= 0:
+            extra[ru] += p
+        elif rv >= 0:
+            extra[rv] += p
         else:
-            kept_edges.append((u, v, p))
+            base_profit += p
 
-    survivors = [v for v in affordable if v not in zero_set]
-    new_id = {v: i for i, v in enumerate(survivors)}
-    parts = (
-        tuple(inst.cost[v] for v in survivors),
-        # a folded sum of Fractions can be integral: normalise it to an int
-        tuple(
-            as_rational(inst.vprofit[v] + extra_vp[v])
-            if extra_vp[v]
-            else inst.vprofit[v]
-            for v in survivors
-        ),
-        tuple((new_id[u], new_id[v], p) for u, v, p in kept_edges),
-    )
-    return parts, base_profit, frozenset(zero), tuple(survivors)
+    vp = inst.vprofit
+    # a folded sum of Fractions can be integral: normalise it to an int
+    vprofit = tuple(as_rational(vp[v] + x) if x else vp[v] for v, x in zip(orig_of, extra))
+    cost = tuple(inst.cost[v] for v in orig_of)
+    return cost, vprofit, pairs, base_profit, frozenset(zero), orig_of, tuple(wdeg), tuple(maxp)
 
 
 def prune(inst: QkpInstance) -> PruneResult:
@@ -114,9 +134,32 @@ def prune(inst: QkpInstance) -> PruneResult:
     profit.  The remaining instance is relabeled densely.
     """
     units, _ = to_units(inst.cost + (inst.limit,))
-    (cost, vprofit, edges), *folded = _prune_parts(inst, units)
+    cost, vprofit, pairs, base_profit, always, orig_of, _, _ = _walk(inst, units)
+    edges = tuple(e for e in pairs if e[2])
     reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
-    return PruneResult(reduced, *folded)
+    return PruneResult(reduced, base_profit, always, orig_of)
+
+
+def _fallback(vprofit, pairs, base_profit, always, orig_of):
+    """PreparedInstance.fallback.  Reduced ids keep the original order, so
+    among equal profits the first vertex, and the smallest pair (ru, rv),
+    also lift to the smallest tuples."""
+    def lift(*reduced_ids):
+        return tuple(sorted(always.union(orig_of[r] for r in reduced_ids)))
+
+    best = (base_profit, lift())
+    if vprofit:
+        r = max(range(len(vprofit)), key=vprofit.__getitem__)
+        if _beats(base_profit + vprofit[r], lift(r), best):
+            best = (base_profit + vprofit[r], lift(r))
+    top, pu, pv = -1, 0, 0  # pair profits are nonnegative: the first pair replaces it
+    for ru, rv, p in pairs:
+        s = vprofit[ru] + vprofit[rv] + p
+        if s > top or (s == top and (ru < pu or (ru == pu and rv < pv))):
+            top, pu, pv = s, ru, rv
+    if top >= 0 and _beats(base_profit + top, lift(pu, pv), best):
+        best = (base_profit + top, lift(pu, pv))
+    return best
 
 
 def smallest_int_above_log2(n: int) -> int:
@@ -127,20 +170,22 @@ def smallest_int_above_log2(n: int) -> int:
 
 
 def _rounded_edges(n: int, edges) -> tuple[tuple, tuple[Rational, ...]]:
-    """round_profits' edges and level ladder for n vertices; edges non-empty."""
-    p_star = max(p for _, _, p in edges)
+    """round_profits' edges and level ladder for n vertices.  Each distinct
+    profit is rounded once, and the edges are rebuilt only when a profit
+    is dropped (0 or below the ladder) or moves."""
+    values = set(map(itemgetter(2), edges))
+    p_star = max(values, default=0)
+    if p_star <= 0:
+        return (), ()
     l_exp = floor_log2(p_star)
     q = smallest_int_above_log2(n * n)
     levels = tuple(pow2(l_exp - j) for j in range(q + 1)) + (0,)
-    cutoff = l_exp - q
-    # edge profits repeat, so round each distinct value once
-    level_of = {}
-    for p in {p for _, _, p in edges}:
-        e = floor_log2(p)
-        if e >= cutoff:
-            level_of[p] = pow2(e)
-    rounded = tuple((u, v, level_of[p]) for u, v, p in edges if p in level_of)
-    return rounded, levels
+    level_of = {p: pow2(e) for p in values if p > 0 and (e := floor_log2(p)) >= l_exp - q}
+    if len(level_of) < len(values):
+        edges = [e for e in edges if e[2] in level_of]
+    if any(level != p for p, level in level_of.items()):
+        edges = [(u, v, level_of[p]) for u, v, p in edges]
+    return tuple(edges), levels
 
 
 def round_profits(inst: QkpInstance) -> tuple[QkpInstance, tuple[Rational, ...]]:
@@ -151,8 +196,6 @@ def round_profits(inst: QkpInstance) -> tuple[QkpInstance, tuple[Rational, ...]]
     dropped; vertex profits stay untouched.  Returns the rounded instance
     and the descending level ladder (empty when there are no edges).
     """
-    if not inst.edges:
-        return inst, ()
     edges, levels = _rounded_edges(inst.n, inst.edges)
     return QkpInstance(inst.n, inst.cost, inst.vprofit, edges, inst.limit), levels
 
@@ -189,17 +232,14 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
     without converting them again.
     """
     units, den = to_units(inst.cost + (inst.limit,))
-    parts, base_profit, always_include, orig_of = _prune_parts(inst, units)
-    cost, vprofit, edges = parts
-    levels = ()
-    if edges:
-        edges, levels = _rounded_edges(len(cost), edges)
+    cost, vprofit, pairs, base_profit, always, orig_of, wdeg, maxp = _walk(inst, units)
+    edges, levels = _rounded_edges(len(cost), pairs)
     reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
     bucket_of, k_exp, l_buckets = bucket_costs(reduced)
     return PreparedInstance(
         reduced=reduced,
         base_profit=base_profit,
-        always_include=always_include,
+        always_include=always,
         orig_of=orig_of,
         profit_levels=levels,
         bucket_of=bucket_of,
@@ -209,4 +249,7 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
         cost_units=tuple(units[v] for v in orig_of),
         limit_units=units[-1],
         orig_cost_units=tuple(units[:-1]),
+        weighted_degree=wdeg,
+        max_edge_profit=maxp,
+        fallback=_fallback(vprofit, pairs, base_profit, always, orig_of),
     )

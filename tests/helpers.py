@@ -10,9 +10,12 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from qkpapprox.decompose import SubInstance
-from qkpapprox.instance import QkpInstance
-from qkpapprox.rational import to_units
+from qkpapprox import orchestrator
+from qkpapprox.decompose import SubInstance, decompose
+from qkpapprox.instance import QkpInstance, Solution, evaluate
+from qkpapprox.orchestrator import RunReport, SubRecord, _beats
+from qkpapprox.preprocess import PreparedInstance, bucket_costs, prepare
+from qkpapprox.rational import as_rational, floor_log2, pow2, to_units
 
 
 def brute_force_opt(inst: QkpInstance):
@@ -405,3 +408,219 @@ def reference_knapsack_exact(items, capacity) -> tuple[int, ...]:
     """knapsack_exact on the linked-list sweep, without the size guard."""
     usable = _reference_usable(items, capacity)
     return _reference_recover(_reference_sweep(usable, capacity)[-1])
+
+
+def rationals(top):
+    """Ints, halves, and thirds or sevenths, in [0, top]."""
+    return st.one_of(
+        st.integers(0, top),
+        st.integers(0, 2 * top).map(lambda k: Fraction(k, 2)),
+        st.builds(Fraction, st.integers(0, 3 * top), st.just(3)),
+        st.builds(Fraction, st.integers(0, 7 * top), st.just(7)),
+    )
+
+
+@st.composite
+def rational_instances(draw):
+    """Sparse or dense instances with int, half-integral and Fraction
+    values (zero included), zero-cost vertices and Fraction limits; small
+    limits leave vertices and pairs unaffordable.  Edges come in any
+    order."""
+    n = draw(st.integers(1, 12))
+    percent = draw(st.sampled_from([15, 80]))
+    costs = tuple(draw(st.one_of(st.just(0), rationals(8))) for _ in range(n))
+    vprofit = tuple(draw(rationals(6)) for _ in range(n))
+    edges = draw(st.permutations([
+        (u, v, draw(rationals(10)))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if draw(st.integers(0, 99)) < percent
+    ]))
+    den = draw(st.sampled_from([1, 2, 7]))
+    limit = Fraction(draw(st.integers(0, den * (int(sum(costs)) + 1))), den)
+    return QkpInstance(n=n, cost=costs, vprofit=vprofit, edges=tuple(edges), limit=limit)
+
+
+def _reference_prune_parts(inst: QkpInstance, units):
+    """Pruning as three edge walks: the live filter, the zero-cost fold and
+    the relabel; prepare's single walk replaced it."""
+    n = inst.n
+    limit = units[-1]
+    affordable = [v for v in range(n) if units[v] <= limit]
+    affordable_set = set(affordable)
+    live_edges = [
+        (u, v, p)
+        for u, v, p in inst.edges
+        if u in affordable_set
+        and v in affordable_set
+        and units[u] + units[v] <= limit
+        and p > 0
+    ]
+
+    zero = [v for v in affordable if units[v] == 0]
+    zero_set = set(zero)
+    base_profit = sum((inst.vprofit[z] for z in zero), 0)
+    extra_vp = {v: 0 for v in affordable}
+    kept_edges = []
+    for u, v, p in live_edges:
+        u_zero, v_zero = u in zero_set, v in zero_set
+        if u_zero and v_zero:
+            base_profit += p
+        elif u_zero:
+            extra_vp[v] += p
+        elif v_zero:
+            extra_vp[u] += p
+        else:
+            kept_edges.append((u, v, p))
+
+    survivors = [v for v in affordable if v not in zero_set]
+    new_id = {v: i for i, v in enumerate(survivors)}
+    parts = (
+        tuple(inst.cost[v] for v in survivors),
+        tuple(
+            as_rational(inst.vprofit[v] + extra_vp[v])
+            if extra_vp[v]
+            else inst.vprofit[v]
+            for v in survivors
+        ),
+        tuple((new_id[u], new_id[v], p) for u, v, p in kept_edges),
+    )
+    return parts, base_profit, frozenset(zero), tuple(survivors)
+
+
+def _reference_rounded_edges(n: int, edges):
+    """Profit rounding by a max, a distinct-value pass and a remap."""
+    p_star = max(p for _, _, p in edges)
+    l_exp = floor_log2(p_star)
+    q = (n * n).bit_length()
+    levels = tuple(pow2(l_exp - j) for j in range(q + 1)) + (0,)
+    cutoff = l_exp - q
+    level_of = {}
+    for p in {p for _, _, p in edges}:
+        e = floor_log2(p)
+        if e >= cutoff:
+            level_of[p] = pow2(e)
+    rounded = tuple((u, v, level_of[p]) for u, v, p in edges if p in level_of)
+    return rounded, levels
+
+
+def reference_fallback_scan(inst: QkpInstance, always, base_profit, units, limit):
+    """The orchestrator's fallback scan over the original edges: the
+    always-include set alone, then every affordable vertex, then every
+    edge whose ends fit together, each with the always-include set."""
+    attach = [0] * inst.n
+    for u, v, p in inst.edges:
+        if u in always and v not in always:
+            attach[v] += p
+        elif v in always and u not in always:
+            attach[u] += p
+    scan = (base_profit, tuple(sorted(always)))
+    for v in range(inst.n):
+        if v not in always and units[v] <= limit:
+            profit = base_profit + inst.vprofit[v] + attach[v]
+            verts = tuple(sorted(always | {v}))
+            if _beats(profit, verts, scan):
+                scan = (profit, verts)
+    for u, v, p in inst.edges:
+        if u in always or v in always or units[u] + units[v] > limit:
+            continue
+        profit = base_profit + inst.vprofit[u] + inst.vprofit[v] + p + attach[u] + attach[v]
+        verts = tuple(sorted(always | {u, v}))
+        if _beats(profit, verts, scan):
+            scan = (profit, verts)
+    return scan
+
+
+def reference_prepare(inst: QkpInstance) -> PreparedInstance:
+    """prepare from the multi-walk pruning, rounding and fallback scan,
+    with each vertex's weighted degree and top edge profit summed from the
+    raw edge list."""
+    units, den = to_units(inst.cost + (inst.limit,))
+    parts, base_profit, always, orig_of = _reference_prune_parts(inst, units)
+    cost, vprofit, edges = parts
+    levels = ()
+    if edges:
+        edges, levels = _reference_rounded_edges(len(cost), edges)
+    reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
+    bucket_of, k_exp, l_buckets = bucket_costs(reduced)
+    incident = [[p for a, b, p in inst.edges if v in (a, b)] for v in range(inst.n)]
+    return PreparedInstance(
+        reduced=reduced,
+        base_profit=base_profit,
+        always_include=always,
+        orig_of=orig_of,
+        profit_levels=levels,
+        bucket_of=bucket_of,
+        k_exp=k_exp,
+        l_buckets=l_buckets,
+        den=den,
+        cost_units=tuple(units[v] for v in orig_of),
+        limit_units=units[-1],
+        orig_cost_units=tuple(units[:-1]),
+        weighted_degree=tuple(sum(ps, 0) for ps in incident),
+        max_edge_profit=tuple(max(ps, default=0) for ps in incident),
+        fallback=reference_fallback_scan(inst, always, base_profit, units, units[-1]),
+    )
+
+
+def reference_solve(inst: QkpInstance, cfg) -> tuple[Solution, RunReport]:
+    """solve with every feasible candidate evaluated, in solve order, and
+    the fallback scan taken from the original edges; wall_ms is 0."""
+    backend = cfg.backend()
+    prep = prepare(inst)
+    always = prep.always_include
+    units, limit = prep.orig_cost_units, prep.limit_units
+    best = None
+    records = []
+    for sub in decompose(prep):
+        outcome = orchestrator._solve_sub(sub, prep.reduced, backend, cfg)
+        verts = tuple(sorted(always.union(prep.orig_of[r] for r in outcome.vertices)))
+        feasible = sum(units[v] for v in verts) <= limit
+        if feasible:
+            profit = evaluate(inst, verts)[1]
+            if _beats(profit, verts, best):
+                best = (profit, verts, sub.class_tag)
+        records.append(SubRecord(sub.class_tag, outcome.case, outcome.fallbacks, verts, feasible, inst))
+    scan = reference_fallback_scan(inst, always, prep.base_profit, units, limit)
+    if _beats(*scan, best):
+        best = (*scan, 0)
+    records.append(SubRecord(0, "singleton_pair_scan", (), scan[1], True, inst))
+    cost, profit = evaluate(inst, best[1])
+    report = RunReport(
+        tuple(records), profit, best[1], best[2], backend.name, cfg.knapsack_eps, 0.0
+    )
+    return Solution(best[1], cost, profit), report
+
+
+def reference_validate(inst: QkpInstance) -> list[str]:
+    """validate with (u, v) tuple keys for duplicates, as it was before its
+    edge loop keyed ints and tested the range first."""
+    problems = []
+    if inst.n < 0:
+        problems.append(f"negative vertex count {inst.n}")
+    if len(inst.cost) != inst.n:
+        problems.append(f"expected {inst.n} costs, got {len(inst.cost)}")
+    if len(inst.vprofit) != inst.n:
+        problems.append(f"expected {inst.n} vertex profits, got {len(inst.vprofit)}")
+    for i, c in enumerate(inst.cost):
+        if c < 0:
+            problems.append(f"negative cost at vertex {i}")
+    for i, p in enumerate(inst.vprofit):
+        if p < 0:
+            problems.append(f"negative vertex profit at vertex {i}")
+    if inst.limit < 0:
+        problems.append("negative cost limit")
+    seen = set()
+    for u, v, p in inst.edges:
+        if u == v:
+            problems.append(f"self-loop at vertex {u}")
+            continue
+        if not (0 <= u < inst.n and 0 <= v < inst.n):
+            problems.append(f"edge ({u},{v}) has an out-of-range endpoint")
+            continue
+        if (u, v) in seen:
+            problems.append(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        if p < 0:
+            problems.append(f"negative profit on edge ({u},{v})")
+    return problems

@@ -29,6 +29,7 @@ from qkpapprox.decompose import subinstance_as_qkp
 from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, UGraph
 from qkpapprox.instance import QkpInstance
 from qkpapprox.oracle import exact_qkp
+from qkpapprox.orchestrator import SolveConfig, solve
 
 
 def make_sub(class_tag, costs, edges, limit, part_a=None, part_b=None, d=None):
@@ -62,6 +63,47 @@ def test_class2_boundary_cost():
     sub = make_sub(2, [Fraction(5, 4)] * 4, [(0, 1)], limit=5)
     out = solve_class2(sub)
     assert sub_cost(sub, out.vertices) == 5
+
+
+def test_class2_overflowing_tail_takes_two_parts():
+    # c* = 33 puts the cost-4 clique in the tail (2^(k-l) = 64/16 = 4),
+    # and the tail costs 56 against a limit of 33.  Next-fit into parts of
+    # 16 units gives four vertices a part; two parts are a K8.
+    inst = QkpInstance(
+        n=15,
+        cost=(33,) + (4,) * 14,
+        vprofit=(0,) * 15,
+        edges=tuple((u, v, 1) for u in range(1, 15) for v in range(u + 1, 15)),
+        limit=33,
+    )
+    for backend in ("greedy", "exact"):
+        sol, report = solve(inst, SolveConfig(dks_backend=backend))
+        assert (sol.total_profit, sol.vertices) == (28, tuple(range(1, 9)))
+        assert report.best_class == 2
+        assert all(rec.feasible for rec in report.records)
+
+
+def test_class2_output_always_fits():
+    rng = random.Random(12)
+    for trial in range(300):
+        # tail costs below half the limit and a total below twice it, as
+        # every decomposed class-2 sub-instance has
+        limit = rng.randint(4, 40)
+        costs = []
+        while len(costs) < 2 or rng.random() < 0.9:
+            c = Fraction(rng.randint(1, 4 * limit - 4), 8)  # < limit/2
+            if sum(costs) + c >= 2 * limit:
+                break
+            costs.append(c)
+        n = len(costs)
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6
+        ]
+        sub = make_sub(2, costs, edges, limit)
+        out = solve_class2(sub)
+        assert sub_cost(sub, out.vertices) <= limit, trial
+        assert 21 * sub_edge_count(sub, out.vertices) >= len(edges), trial
+        assert out.case == ("sum_all" if sum(costs) <= limit else "tail_split")
 
 
 def test_class3_dks_path():

@@ -4,10 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_opt, qkp_instances
+from helpers import brute_force_opt, qkp_instances, reference_validate
 from qkpapprox.instance import (
     QkpInstance,
     evaluate,
@@ -180,3 +180,31 @@ def test_adjacency_degree():
     inst = triangle()
     assert [inst.degree(v) for v in range(3)] == [2, 2, 2]
     assert instance_to_json_obj(inst)["n"] == 3
+
+
+@st.composite
+def _malformed_instances(draw):
+    """Edges with self-loops, negative and out-of-range ids, duplicates in
+    either orientation and negative profits, some costs and vertex profits
+    negative; built unchecked, so edges may keep u > v."""
+    n = draw(st.integers(0, 5))
+    ids = st.integers(-2, n + 1)
+    edges = tuple(
+        draw(st.lists(st.tuples(ids, ids, st.integers(-3, 3)), max_size=12))
+    )
+    cost = tuple(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)))
+    vprofit = tuple(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)))
+    limit = draw(st.integers(-1, 5))
+    if draw(st.booleans()):
+        return QkpInstance.from_canonical(n, cost, vprofit, edges, limit)
+    return QkpInstance(n=n, cost=cost, vprofit=vprofit, edges=edges, limit=limit)
+
+
+@given(_malformed_instances())
+@settings(max_examples=300)
+# unchecked edges in both orientations are distinct pairs, not duplicates
+@example(QkpInstance.from_canonical(
+    3, (1, 1, 1), (0, 0, 0), ((0, 1, 1), (1, 0, 2), (2, 2, 1), (-1, 1, 0), (0, 1, -1)), 2
+))
+def test_validate_messages_match_tuple_keyed_reference(inst):
+    assert validate(inst) == reference_validate(inst)

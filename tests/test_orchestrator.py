@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_opt, qkp_instances
+from helpers import (
+    brute_force_opt,
+    qkp_instances,
+    rational_instances,
+    rationals,
+    reference_solve,
+)
 from qkpapprox import orchestrator, random_instance
 from qkpapprox.instance import QkpInstance, evaluate
 from qkpapprox.orchestrator import (
@@ -157,35 +163,6 @@ def test_everything_pruned_leaves_base_candidate():
     assert sol.total_profit == 0
 
 
-def _rationals(top):
-    """Ints, halves, and thirds or sevenths, in [0, top]."""
-    return st.one_of(
-        st.integers(0, top),
-        st.integers(0, 2 * top).map(lambda k: Fraction(k, 2)),
-        st.builds(Fraction, st.integers(0, 3 * top), st.just(3)),
-        st.builds(Fraction, st.integers(0, 7 * top), st.just(7)),
-    )
-
-
-@st.composite
-def _gate_instances(draw):
-    """Sparse or dense instances with int, half-integral and Fraction
-    values, and zero-cost vertices that every candidate includes."""
-    n = draw(st.integers(1, 12))
-    percent = draw(st.sampled_from([15, 80]))
-    costs = tuple(draw(st.one_of(st.just(0), _rationals(8))) for _ in range(n))
-    vprofit = tuple(draw(_rationals(6)) for _ in range(n))
-    edges = tuple(
-        (u, v, draw(_rationals(10)))
-        for u in range(n)
-        for v in range(u + 1, n)
-        if draw(st.integers(0, 99)) < percent
-    )
-    den = draw(st.sampled_from([1, 2, 7]))
-    limit = Fraction(draw(st.integers(0, den * (int(sum(costs)) + 1))), den)
-    return QkpInstance(n=n, cost=costs, vprofit=vprofit, edges=edges, limit=limit)
-
-
 @st.composite
 def _tied_instances(draw):
     """Class 1 first finds the isolated vertices 2 and 3, of profit 6u
@@ -198,7 +175,7 @@ def _tied_instances(draw):
     return QkpInstance(
         n=n,
         cost=(1, 1, 1, 1) + (0,) * zeros,
-        vprofit=(0, 0, 3 * u, 3 * u) + (draw(_rationals(3)),) * zeros,
+        vprofit=(0, 0, 3 * u, 3 * u) + (draw(rationals(3)),) * zeros,
         edges=((0, 1, 6 * u),),
         limit=draw(st.sampled_from([2, Fraction(5, 2), Fraction(15, 7)])),
     )
@@ -214,7 +191,7 @@ def _raw_evaluate(inst, vertices):
 
 
 @given(
-    st.one_of(_gate_instances(), _tied_instances()),
+    st.one_of(rational_instances(), _tied_instances()),
     st.sampled_from(["greedy", "exact"]),
 )
 @settings(max_examples=200, deadline=None)
@@ -230,6 +207,12 @@ def test_bound_gated_selection_matches_full_evaluation(inst, backend):
     # the first record, in solve order, with the winning profit and tuple
     assert (report.best_profit, report.best_vertices, report.best_class) == best
     assert (sol.total_profit, sol.vertices) == best[:2]
+    # the same as evaluating every feasible candidate in solve order
+    ref_sol, ref_report = reference_solve(inst, SolveConfig(dks_backend=backend))
+    assert sol == ref_sol
+    assert report.to_json_obj(include_timing=False) == ref_report.to_json_obj(
+        include_timing=False
+    )
 
 
 def test_bound_skips_candidates_that_cannot_win():
@@ -237,8 +220,9 @@ def test_bound_skips_candidates_that_cannot_win():
     with mock.patch.object(orchestrator, "evaluate", wraps=evaluate) as spy:
         sol, report = solve(inst)
     assert len(report.records) == 88
-    # the class-1 candidate comes first and wins; every later bound is
-    # below its profit, so only it and the solution are evaluated
+    # the class-1 candidate has the largest bound and wins; every other
+    # bound is below twice its profit, so only it and the solution are
+    # evaluated
     assert spy.call_count == 2
     assert report.best_class == 1
     assert sol.total_profit == max(r.profit for r in report.records if r.feasible)

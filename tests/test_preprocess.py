@@ -4,9 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_opt, qkp_instances, rational_cost_instance
+from helpers import (
+    brute_force_opt,
+    qkp_instances,
+    rational_cost_instance,
+    rational_instances,
+    reference_prepare,
+)
 from qkpapprox.instance import QkpInstance
 from qkpapprox.preprocess import bucket_costs, prepare, prune, round_profits
 from qkpapprox.rational import pow2
@@ -249,3 +256,22 @@ def test_reduced_instance_is_canonical():
             assert [type(p) for *_, p in reduced.edges] == [
                 type(p) for *_, p in checked.edges
             ]
+
+
+@given(st.one_of(rational_instances(), qkp_instances(max_n=10)))
+@settings(max_examples=300, deadline=None)
+# no edges; every vertex unaffordable
+@example(QkpInstance(n=3, cost=(1, 2, 0), vprofit=(1, 0, 2), edges=(), limit=1))
+@example(QkpInstance(n=2, cost=(5, 6), vprofit=(1, 1), edges=((0, 1, 2),), limit=4))
+# a zero-profit pair ties the base and the singletons at profit 0 and,
+# unioned with the zero-cost vertex 2, has the smallest vertex tuple
+@example(QkpInstance(n=3, cost=(1, 1, 0), vprofit=(0, 0, 0), edges=((0, 1, 0),), limit=2))
+# equal pair profits out of edge order: the smaller pair (0, 1) wins
+@example(QkpInstance(n=3, cost=(1, 1, 1), vprofit=(0, 0, 0), edges=((0, 2, 5), (0, 1, 5)), limit=2))
+# a pair of zero-cost vertices, and a zero-cost vertex beside an infeasible pair
+@example(QkpInstance(
+    n=4, cost=(0, 0, Fraction(5, 2), 3), vprofit=(1, Fraction(1, 3), 0, 2),
+    edges=((0, 1, 4), (1, 2, Fraction(1, 2)), (2, 3, 7), (0, 3, 0)), limit=Fraction(9, 2),
+))
+def test_prepare_matches_multi_walk_reference(inst):
+    assert prepare(inst) == reference_prepare(inst)
