@@ -265,6 +265,20 @@ def _fit_to_limit(sub: SubInstance, ranked_a: list, ranked_b: list):
     return ranked_a, ranked_b, trimmed
 
 
+def _degree_select(sub: SubInstance, adj, b_prime: list, light, m_a: int):
+    """The heavy picks b_prime plus the m_a light vertices of most degree
+    into them, trimmed to the limit by _fit_to_limit.
+
+    Returns the sorted vertices and the fallback note
+    ("trimmed_for_feasibility",) when a pick was trimmed, else ().
+    """
+    b_set = set(b_prime)
+    a_prime = _top(light, m_a, lambda a: len(adj[a] & b_set))
+    a_prime, b_prime, trimmed = _fit_to_limit(sub, a_prime, b_prime)
+    notes = ("trimmed_for_feasibility",) if trimmed else ()
+    return tuple(sorted(a_prime + b_prime)), notes
+
+
 def solve_class4(
     sub: SubInstance,
     eps=DEFAULT_KNAPSACK_EPS,
@@ -284,20 +298,9 @@ def solve_class4(
         return _enum_small_b(sub, eps, combo_cap)
     adj = _adj_sets(sub)
     b_prime = _top(part_b, max(1, per_4d), lambda b: len(adj[b]))
-    b_set = set(b_prime)
     m_a = -(-len(part_a) // 4)
-    a_prime = _top(part_a, m_a, lambda a: len(adj[a] & b_set))
-    a_prime, b_prime, trimmed = _fit_to_limit(sub, a_prime, b_prime)
-    fallbacks = ("trimmed_for_feasibility",) if trimmed else ()
-    return ClassOutcome(tuple(sorted(a_prime + b_prime)), "main", fallbacks)
-
-
-def _class5_case1(sub: SubInstance, adj, m_a: int, m_b: int):
-    b_prime = _top(sub.part_b, m_b, lambda b: len(adj[b]))
-    b_set = set(b_prime)
-    a_prime = _top(sub.part_a, m_a, lambda a: len(adj[a] & b_set))
-    a_prime, b_prime, trimmed = _fit_to_limit(sub, a_prime, b_prime)
-    return tuple(sorted(a_prime + b_prime)), trimmed
+    verts, trim_note = _degree_select(sub, adj, b_prime, part_a, m_a)
+    return ClassOutcome(verts, "main", trim_note)
 
 
 def solve_class5(
@@ -313,7 +316,8 @@ def solve_class5(
     Small light side: pure degree selection (case 1).  Large light side:
     replicate the heavy side into d unit-cost copies, run DkS with
     k = floor(limit) on the replicated graph, and read the selection back
-    through the per-base-vertex peak copy degrees (case 2).
+    through the per-base-vertex peak copy degrees (case 2).  A replicated
+    graph above replication_cap vertices takes case 1 instead.
     """
     part_a, part_b = tuple(sub.part_a), tuple(sub.part_b)
     per_4d = _limit_over(sub, 4 * sub.d_gap)
@@ -323,16 +327,12 @@ def solve_class5(
     m_a, m_b = max(1, _limit_over(sub, 4)), max(1, per_4d)
 
     alpha = backend.declared_alpha if alpha is None else alpha
-    if _case1_applies(sub, len(part_a), alpha):
-        verts, trimmed = _class5_case1(sub, adj, m_a, m_b)
-        return ClassOutcome(verts, "case1", ("trimmed_for_feasibility",) if trimmed else ())
-
-    if len(part_a) + int(sub.d_gap) * len(part_b) > replication_cap:
-        verts, trimmed = _class5_case1(sub, adj, m_a, m_b)
-        notes = ("replication_cap_exceeded",)
-        if trimmed:
-            notes = notes + ("trimmed_for_feasibility",)
-        return ClassOutcome(verts, "case1", notes)
+    small_a = _case1_applies(sub, len(part_a), alpha)
+    if small_a or len(part_a) + int(sub.d_gap) * len(part_b) > replication_cap:
+        b_prime = _top(part_b, m_b, lambda b: len(adj[b]))
+        verts, trim_note = _degree_select(sub, adj, b_prime, part_a, m_a)
+        cap_note = () if small_a else ("replication_cap_exceeded",)
+        return ClassOutcome(verts, "case1", cap_note + trim_note)
 
     rep = replicate(sub)
     k = _limit_over(sub, 1)
@@ -350,9 +350,5 @@ def solve_class5(
                 delta_star[base] = deg
 
     b_prime = _top(part_b, m_b, lambda b: delta_star[b])
-    b_set = set(b_prime)
-    a_second = _top(a_returned, m_a, lambda v: len(adj[v] & b_set))
-    a_second, b_prime, trimmed = _fit_to_limit(sub, a_second, b_prime)
-    if trimmed:
-        fallbacks = fallbacks + ("trimmed_for_feasibility",)
-    return ClassOutcome(tuple(sorted(a_second + b_prime)), "case2", fallbacks)
+    verts, trim_note = _degree_select(sub, adj, b_prime, a_returned, m_a)
+    return ClassOutcome(verts, "case2", fallbacks + trim_note)

@@ -1,14 +1,15 @@
 """Densest-k-subgraph backends: the pluggable black box of the pipeline.
 
 A backend maps (unweighted graph, k) to a set of exactly min(k, n)
-vertices.  The exact backend raises CapacityError beyond a size budget.
-Within it, when there are at most enum_budget k-subsets, a lexicographic
-branch and bound returns the set that plain enumeration in
-itertools.combinations order would (the first one with the most edges);
-enum_budget still bounds its worst case.  Past that, a node-budgeted
-branch and bound over a degree order runs.  Both searches prune with
-_completion_bound: each of the t vertices still to pick adds its edges
-into the chosen set plus at most min(t - 1, its degree into the
+vertices.  The exact backend is one lexicographic branch and bound that
+returns the set plain enumeration in itertools.combinations order would
+(the first one with the most edges), on one work budget: it raises
+CapacityError once it has pushed more than budget frames, and at once for
+a graph above max_n vertices with more than budget k-subsets.  It pushes
+at most C(n - 2, k - 2) - 1 frames, fewer than the C(n, k) subsets, so a
+graph with at most budget k-subsets always completes.  The search prunes
+with _completion_bound: each of the t vertices still to pick adds its
+edges into the chosen set plus at most min(t - 1, its degree into the
 candidates) edges among the picks, each counted at both ends.  It is
 valid, so it skips only prefixes that cannot beat the best, and it is
 never looser than assuming all C(t, 2) pairs among the picks are edges.
@@ -25,8 +26,7 @@ from .errors import CapacityError
 from .rational import Rational, as_rational
 
 DEFAULT_EXACT_MAX_N = 25
-DEFAULT_ENUM_BUDGET = 60_000
-DEFAULT_NODE_BUDGET = 50_000
+DEFAULT_BUDGET = 60_000
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,10 @@ def _completion_bound(cand_masks, cand_bits: int, mask: int, t: int) -> int:
     return sum(scores[:t]) // 2
 
 
-def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
+def _lex_first_densest(masks: list[int], k: int, budget: int) -> tuple[int, ...]:
     """The first k-subset, in itertools.combinations order, with the most
-    induced edges; 1 <= k < len(masks).
+    induced edges; 1 <= k < len(masks).  CapacityError once more than
+    budget frames are pushed.
 
     A depth-first walk over prefixes in that order, with an explicit stack
     so its depth does not grow with k.  Each frame holds the next vertex to
@@ -153,6 +154,11 @@ def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
     as many later vertices as it still needs has one completion, scored
     directly; neither is bounded, since the bound would cost what scoring
     does.
+
+    Only the other children are pushed, each at most once.  Such a child
+    holds j <= k - 2 vertices, the last below n - k + j - 1, so there are
+    at most sum_{j=1}^{k-2} C(n - k - 1 + j, j) = C(n - 2, k - 2) - 1
+    pushes, by the hockey-stick identity.
     """
     if k == 1:
         return (0,)  # no single vertex induces an edge
@@ -161,6 +167,7 @@ def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
     best: tuple[int, ...] = ()
     prefix: list[int] = []
     frames = [[0, 0, 0]]  # per depth: next vertex, prefix mask, prefix edges
+    pushes = 0
     while frames:
         frame = frames[-1]
         v, mask, edges = frame
@@ -192,67 +199,28 @@ def _lex_first_densest(masks: list[int], k: int) -> tuple[int, ...]:
                                 child_mask, t - 1)
             > best_edges
         ):
+            pushes += 1
+            if pushes > budget:
+                raise CapacityError(f"exact DkS budget {budget} exceeded")
             prefix.append(v)
             frames.append([v + 1, child_mask, child_edges])
     return best
-
-
-def _bb_exact(graph: UGraph, k: int, node_budget: int) -> tuple[int, ...]:
-    """Branch and bound over a degree-descending vertex order."""
-    n = graph.n
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    masks = _neighbor_masks(graph)
-    order_masks = [masks[v] for v in order]
-    suffix_bits = [0] * (n + 1)  # suffix_bits[i]: vertex bitmask of order[i:]
-    for i in range(n - 1, -1, -1):
-        suffix_bits[i] = suffix_bits[i + 1] | 1 << order[i]
-
-    best_edges = -1
-    best_set: tuple[int, ...] = ()
-    nodes = 0
-
-    def dfs(idx, chosen_mask, count, edges, stack):
-        nonlocal best_edges, best_set, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise CapacityError(f"exact DkS node budget {node_budget} exceeded")
-        if count == k:
-            if edges > best_edges:
-                best_edges = edges
-                best_set = tuple(stack)
-            return
-        if n - idx < k - count:
-            return
-        bound = edges + _completion_bound(
-            order_masks[idx:], suffix_bits[idx], chosen_mask, k - count
-        )
-        if bound <= best_edges:
-            return
-        v = order[idx]
-        stack.append(v)
-        dfs(idx + 1, chosen_mask | (1 << v), count + 1,
-            edges + (masks[v] & chosen_mask).bit_count(), stack)
-        stack.pop()
-        dfs(idx + 1, chosen_mask, count, edges, stack)
-
-    dfs(0, 0, 0, 0, [])
-    return tuple(sorted(best_set))
 
 
 def dks_exact(
     graph: UGraph,
     k: int,
     max_n: int = DEFAULT_EXACT_MAX_N,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, ...]:
-    """Maximum-induced-edge k-subset, or CapacityError past the budget.
+    """The first k-subset, in itertools.combinations order, with the most
+    induced edges, or CapacityError past the budget.
 
-    With at most enum_budget k-subsets this is a lexicographic branch and
-    bound that returns the subset plain enumeration would: the first, in
-    itertools.combinations order, with the most induced edges.  Otherwise
-    graphs above max_n raise CapacityError, and the rest run a branch and
-    bound that raises it after node_budget nodes.
+    A graph above max_n vertices with more than budget k-subsets raises at
+    once.  Every other graph runs _lex_first_densest, which raises once it
+    has pushed more than budget frames.  It pushes at most
+    C(n - 2, k - 2) - 1 < C(n, k), so a graph with at most budget
+    k-subsets always completes.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -261,13 +229,12 @@ def dks_exact(
         return ()
     if k_eff == graph.n:
         return tuple(range(graph.n))
-    if math.comb(graph.n, k_eff) <= enum_budget:
-        return _lex_first_densest(_neighbor_masks(graph), k_eff)
-    if graph.n > max_n:
+    if graph.n > max_n and math.comb(graph.n, k_eff) > budget:
         raise CapacityError(
-            f"exact DkS limited to n <= {max_n}, got n = {graph.n}"
+            f"exact DkS limited to n <= {max_n} or C(n, k) <= {budget},"
+            f" got n = {graph.n}, k = {k_eff}"
         )
-    return _bb_exact(graph, k_eff, node_budget)
+    return _lex_first_densest(_neighbor_masks(graph), k_eff, budget)
 
 
 def dks_greedy_peel(graph: UGraph, k: int) -> tuple[int, ...]:

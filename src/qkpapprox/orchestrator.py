@@ -16,7 +16,6 @@ from operator import itemgetter
 from typing import Optional, Union
 
 from .classsolvers import (
-    DEFAULT_REPLICATION_CAP,
     ClassOutcome,
     solve_class2,
     solve_class3,
@@ -38,7 +37,6 @@ class SolveConfig:
     dks_backend: Union[str, DksBackend] = "greedy"
     knapsack_eps: Rational = Fraction(1, 4)
     alpha_override: Optional[Rational] = None
-    replication_cap: int = DEFAULT_REPLICATION_CAP
 
     def __post_init__(self):
         if not 0 < Fraction(self.knapsack_eps) < 1:
@@ -145,13 +143,7 @@ def _solve_sub(sub, reduced, backend, cfg):
         return solve_class3(sub, backend)
     if sub.class_tag == 4:
         return solve_class4(sub, eps=cfg.knapsack_eps)
-    return solve_class5(
-        sub,
-        backend,
-        alpha=cfg.alpha_override,
-        replication_cap=cfg.replication_cap,
-        eps=cfg.knapsack_eps,
-    )
+    return solve_class5(sub, backend, alpha=cfg.alpha_override, eps=cfg.knapsack_eps)
 
 
 def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, RunReport]:

@@ -17,6 +17,8 @@ from helpers import (
     sub_from_scaled,
 )
 from qkpapprox.classsolvers import (
+    _adj_sets,
+    _degree_select,
     _feasible_b_subsets,
     _fit_to_limit,
     replicate,
@@ -26,7 +28,7 @@ from qkpapprox.classsolvers import (
     solve_class5,
 )
 from qkpapprox.decompose import subinstance_as_qkp
-from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, UGraph
+from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, DksBackend, UGraph
 from qkpapprox.instance import QkpInstance
 from qkpapprox.oracle import exact_qkp
 from qkpapprox.orchestrator import SolveConfig, solve
@@ -258,6 +260,19 @@ def test_class5_replication_cap_falls_back_to_case1():
     assert "replication_cap_exceeded" in out.fallbacks
 
 
+def test_class5_case2_takes_light_picks_from_the_dks_result():
+    # a stub DkS returns the last k local ids: light ids 4..9 and both
+    # copies of the heavy vertex, so the two light picks are 4 and 5, not
+    # the equally connected 0 and 1
+    last_k = DksBackend("last-k", 0, lambda graph, k: tuple(range(graph.n - k, graph.n)))
+    part_a = tuple(range(10))
+    costs = [Fraction(3, 2)] * 10 + [3]
+    edges = [(a, 10) for a in part_a]
+    sub = make_sub(5, costs, edges, limit=8, part_a=part_a, part_b=(10,), d=2)
+    out = solve_class5(sub, last_k)
+    assert (out.case, out.vertices, out.fallbacks) == ("case2", (4, 5, 10), ())
+
+
 def test_class5_small_limit_enumerates():
     sub = make_sub(
         5,
@@ -381,3 +396,15 @@ def test_fit_to_limit_trims_at_the_unit_boundary():
     assert _fit_to_limit(over, [0, 1], [2]) == ([0], [2], True)
     fits = make_sub(4, [Fraction(1, 2)] * 3, [], limit=Fraction(3, 2), part_a=(0, 1), part_b=(2,), d=1)
     assert _fit_to_limit(fits, [0, 1], [2]) == ([0, 1], [2], False)
+
+
+def test_degree_select_ranks_the_pool_and_trims_light_first():
+    # vertex 0 has the most degree into the heavy pick 2, but only 1 is in
+    # the pool; with both light picks the three costs of 1/2 overflow a
+    # limit of 1, and the lowest-ranked light pick goes
+    sub = make_sub(4, [Fraction(1, 2)] * 3, [(0, 2)], limit=1, part_a=(0, 1), part_b=(2,), d=1)
+    adj = _adj_sets(sub)
+    assert _degree_select(sub, adj, [2], (1,), 1) == ((1, 2), ())
+    assert _degree_select(sub, adj, [2], (0, 1), 2) == (
+        (0, 2), ("trimmed_for_feasibility",)
+    )

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_dks, reference_completion_bound, reference_dks_enum
+from qkpapprox import dks
 from qkpapprox.dks import (
-    DEFAULT_ENUM_BUDGET,
+    DEFAULT_BUDGET,
     EXACT_BACKEND,
     GREEDY_BACKEND,
     DksBackend,
@@ -90,7 +91,7 @@ def test_greedy_finds_planted_clique_with_tendrils():
 def test_exact_capacity_guard():
     g = UGraph(30, tuple((u, u + 1) for u in range(29)))
     with pytest.raises(CapacityError):
-        dks_exact(g, 15, enum_budget=10, max_n=25)
+        dks_exact(g, 15, budget=10, max_n=25)
 
 
 def test_exact_node_budget_guard():
@@ -100,7 +101,7 @@ def test_exact_node_budget_guard():
     )
     g = UGraph(24, edges)
     with pytest.raises(CapacityError):
-        dks_exact(g, 12, enum_budget=1, node_budget=50)
+        dks_exact(g, 12, budget=50)
 
 
 def test_backend_alpha_validated():
@@ -128,29 +129,59 @@ def test_exact_matches_enumeration_random_graphs():
 
 
 def test_branch_and_bound_agrees_with_enumeration():
+    # past the budget: a budget below C(n, k) either runs out or returns
+    # exactly what enumeration would
     rng = random.Random(9)
+    outcomes = set()
     for _ in range(40):
-        n = rng.randint(6, 14)
+        n = rng.randint(6, 18)
         edges = tuple(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
         )
         g = UGraph(n, edges)
         k = rng.randint(2, n - 1)
-        via_bb = dks_exact(g, k, enum_budget=1, node_budget=500_000)
-        assert g.induced_edge_count(via_bb) == brute_force_dks(n, edges, k)
+        budget = rng.randint(1, math.comb(n, k) - 1)
+        try:
+            chosen = dks_exact(g, k, budget=budget)
+        except CapacityError:
+            outcomes.add("raised")
+            continue
+        outcomes.add("completed")
+        assert chosen == reference_dks_enum(n, g.edges, k)
+    assert outcomes == {"raised", "completed"}
+
+
+def test_budget_of_every_subset_always_completes(monkeypatch):
+    # with nothing pruned the walk pushes the most frames it can, and it
+    # must still finish within C(n, k), indeed within C(n - 2, k - 2) - 1
+    monkeypatch.setattr(dks, "_completion_bound", lambda *args: 1 << 30)
+    rng = random.Random(16)
+    for n in range(1, 17):
+        edges = tuple(
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+        )
+        g = UGraph(n, edges)
+        for k in range(n + 1):
+            expected = reference_dks_enum(n, g.edges, k)
+            assert dks_exact(g, k, budget=math.comb(n, k)) == expected
+            if 2 <= k < n and math.comb(n - 2, k - 2) > 1:
+                tight = math.comb(n - 2, k - 2) - 1
+                assert dks_exact(g, k, budget=tight) == expected
+                with pytest.raises(CapacityError):
+                    dks_exact(g, k, budget=tight - 1)
 
 
 @st.composite
 def enumerable_dks_inputs(draw):
-    """(graph, k) with comb(n, k) <= DEFAULT_ENUM_BUDGET.
+    """(graph, k) with comb(n, k) <= DEFAULT_BUDGET.
 
     n runs to 20 with every k, and to 40 with k <= 2: past
-    DEFAULT_EXACT_MAX_N only the enumeration path is open.  Densities 0
-    and 1 make every k-subset tie.
+    DEFAULT_EXACT_MAX_N only graphs with at most DEFAULT_BUDGET k-subsets
+    are searched.  Densities 0 and 1 make every k-subset tie.
     """
     n = draw(st.integers(1, 40))
     k = draw(st.integers(0, n if n <= 20 else 2))
-    if math.comb(n, k) > DEFAULT_ENUM_BUDGET:
+    if math.comb(n, k) > DEFAULT_BUDGET:
         k = draw(st.sampled_from([0, 1, 2, n - 2, n - 1, n]))
     density = draw(st.sampled_from([0, 0.5, 1]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -186,8 +217,9 @@ def completion_cases(draw):
     """(n, edges, candidates, candidate bitmask, prefix) on n <= 12.
 
     The candidates are an index suffix, with its bitmask built the way
-    _lex_first_densest builds it, or an arbitrary subset as in _bb_exact's
-    degree order; the prefix is a random subset of the other vertices.
+    _lex_first_densest builds it, or an arbitrary subset, so the bound is
+    checked for any candidate set; the prefix is a random subset of the
+    other vertices.
     """
     n = draw(st.integers(1, 12))
     density = draw(st.sampled_from([0, 0.3, 0.7, 1]))
