@@ -16,7 +16,7 @@ from .classsolvers import (
     solve_class4,
     solve_class5,
 )
-from .decompose import SubInstance, decompose, subinstance_as_qkp
+from .decompose import SubInstance, decompose
 from .dks import (
     EXACT_BACKEND,
     GREEDY_BACKEND,

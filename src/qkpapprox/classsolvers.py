@@ -9,18 +9,19 @@ vertex id so outputs are deterministic.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .decompose import SubInstance
 from .dks import GREEDY_BACKEND, DksBackend, UGraph, solve_dks
 from .errors import CapacityError
-from .knapsack import knapsack_fptas
+from .knapsack import DEFAULT_KNAPSACK_EPS, knapsack_fptas
 from .rational import Rational
 
-DEFAULT_REPLICATION_CAP = 200_000
-DEFAULT_ENUM_COMBO_CAP = 50_000
-DEFAULT_KNAPSACK_EPS = Fraction(1, 4)
+# work bounds, read at call time: a class-5 replicated graph above
+# REPLICATION_CAP vertices takes case 1, and class 4/5's small-heavy-side
+# enumeration stops after ENUM_COMBO_CAP subsets
+REPLICATION_CAP = 200_000
+ENUM_COMBO_CAP = 50_000
 
 
 @dataclass(frozen=True)
@@ -44,15 +45,6 @@ class ReplicatedGraph:
     a_members: tuple[int, ...]
     b_members: tuple[int, ...]
     graph: UGraph
-    sub: SubInstance
-
-    @property
-    def costs(self) -> tuple[Rational, ...]:
-        """Scaled cost of each local id (a derived view, not used to solve)."""
-        cost = self.sub.scaled_cost
-        return tuple(map(cost, self.a_members)) + tuple(
-            Fraction(cost(b)) / self.d for b in self.b_members for _ in range(self.d)
-        )
 
     def copy_base(self, local: int) -> int:
         """Reduced id of the base vertex behind a copy's local id."""
@@ -79,7 +71,6 @@ def replicate(sub: SubInstance) -> ReplicatedGraph:
         a_members=tuple(part_a),
         b_members=tuple(part_b),
         graph=UGraph.from_canonical(n_a + d * len(part_b), tuple(edges)),
-        sub=sub,
     )
 
 
@@ -217,7 +208,7 @@ def _feasible_b_subsets(part_b, cost_units, budget, max_size, cap):
     return out, False
 
 
-def _enum_small_b(sub: SubInstance, eps, combo_cap: int) -> ClassOutcome:
+def _enum_small_b(sub: SubInstance, eps) -> ClassOutcome:
     """Try every small heavy-side subset; knapsack the light side per subset.
 
     Used when the scaled limit is below 8*d, where any feasible solution
@@ -229,7 +220,7 @@ def _enum_small_b(sub: SubInstance, eps, combo_cap: int) -> ClassOutcome:
     adj = _adj_sets(sub)
     units, limit = sub.cost_units, sub.limit_units
     max_size = min(7, _limit_over(sub, sub.d_gap))
-    combos, capped = _feasible_b_subsets(part_b, units, limit, max_size, combo_cap)
+    combos, capped = _feasible_b_subsets(part_b, units, limit, max_size, ENUM_COMBO_CAP)
     best: tuple[int, ...] = ()
     best_edges = 0
     for combo in combos:
@@ -279,11 +270,7 @@ def _degree_select(sub: SubInstance, adj, b_prime: list, light, m_a: int):
     return tuple(sorted(a_prime + b_prime)), notes
 
 
-def solve_class4(
-    sub: SubInstance,
-    eps=DEFAULT_KNAPSACK_EPS,
-    combo_cap: int = DEFAULT_ENUM_COMBO_CAP,
-) -> ClassOutcome:
+def solve_class4(sub: SubInstance, eps=DEFAULT_KNAPSACK_EPS) -> ClassOutcome:
     """Top heavy-side vertices by degree, then top quarter of the light side.
 
     Below 8*d (or with a tiny or huge-but-cheap configuration) the
@@ -295,7 +282,7 @@ def solve_class4(
     part_a, part_b = tuple(sub.part_a), tuple(sub.part_b)
     per_4d = _limit_over(sub, 4 * sub.d_gap)  # 0 below 4d, under 2 below 8d
     if per_4d == 0 or len(part_a) < 4 or (per_4d < 2 and len(part_b) <= 16):
-        return _enum_small_b(sub, eps, combo_cap)
+        return _enum_small_b(sub, eps)
     adj = _adj_sets(sub)
     b_prime = _top(part_b, max(1, per_4d), lambda b: len(adj[b]))
     m_a = -(-len(part_a) // 4)
@@ -307,9 +294,7 @@ def solve_class5(
     sub: SubInstance,
     backend: DksBackend,
     alpha: Rational | None = None,
-    replication_cap: int = DEFAULT_REPLICATION_CAP,
     eps=DEFAULT_KNAPSACK_EPS,
-    combo_cap: int = DEFAULT_ENUM_COMBO_CAP,
 ) -> ClassOutcome:
     """Case split on the light-side size against limit^((1+a)/(1-a)).
 
@@ -317,18 +302,18 @@ def solve_class5(
     replicate the heavy side into d unit-cost copies, run DkS with
     k = floor(limit) on the replicated graph, and read the selection back
     through the per-base-vertex peak copy degrees (case 2).  A replicated
-    graph above replication_cap vertices takes case 1 instead.
+    graph above REPLICATION_CAP vertices takes case 1 instead.
     """
     part_a, part_b = tuple(sub.part_a), tuple(sub.part_b)
     per_4d = _limit_over(sub, 4 * sub.d_gap)
     if per_4d == 0:  # limit below 4d
-        return _enum_small_b(sub, eps, combo_cap)
+        return _enum_small_b(sub, eps)
     adj = _adj_sets(sub)
     m_a, m_b = max(1, _limit_over(sub, 4)), max(1, per_4d)
 
     alpha = backend.declared_alpha if alpha is None else alpha
     small_a = _case1_applies(sub, len(part_a), alpha)
-    if small_a or len(part_a) + int(sub.d_gap) * len(part_b) > replication_cap:
+    if small_a or len(part_a) + int(sub.d_gap) * len(part_b) > REPLICATION_CAP:
         b_prime = _top(part_b, m_b, lambda b: len(adj[b]))
         verts, trim_note = _degree_select(sub, adj, b_prime, part_a, m_a)
         cap_note = () if small_a else ("replication_cap_exceeded",)

@@ -21,6 +21,7 @@ from .instance import (
     load_instance,
     validate,
 )
+from .knapsack import DEFAULT_KNAPSACK_EPS
 from .oracle import exact_qkp
 from .orchestrator import SolveConfig, guaranteed_floor, solve
 from .preprocess import prepare
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="solution JSON (default stdout); a directory in batch mode",
     )
     p_solve.add_argument("--dks", choices=["exact", "greedy"], default="greedy")
-    p_solve.add_argument("--eps", type=_rational_arg, default=Fraction(1, 4))
+    p_solve.add_argument("--eps", type=_rational_arg, default=DEFAULT_KNAPSACK_EPS)
     p_solve.add_argument("--alpha", type=_rational_arg, default=None)
     p_solve.add_argument("--report", default=None, help="write the run report JSON here")
     p_solve.add_argument(
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-cost", type=int, default=20)
     p_bench.add_argument("--max-profit", type=int, default=20)
     p_bench.add_argument("--limit-frac", type=_rational_arg, default=Fraction(1, 2))
-    p_bench.add_argument("--eps", type=_rational_arg, default=Fraction(1, 4))
+    p_bench.add_argument("--eps", type=_rational_arg, default=DEFAULT_KNAPSACK_EPS)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--json-out", default=None)
     p_bench.set_defaults(func=cmd_bench)

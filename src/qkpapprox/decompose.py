@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .instance import QkpInstance
 from .preprocess import PreparedInstance
 from .rational import Rational, as_rational, pow2, rational_to_json
 
@@ -39,11 +38,10 @@ class SubInstance:
 
     vertices lists all members, sorted, and edges the sorted (u, v) pairs
     with u < v; part_a/part_b are set for the bipartite classes 4 and 5
-    (part_a is the lighter side).  vprofit, set for class 1 only, is the
-    reduced instance's vertex-profit tuple, shared, by reduced id.
-    cost_units (by reduced id) and limit_units are prepare's units;
-    scaled_cost(v) is cost_units[v] / (den * cost_scale), cost_scale =
-    2**scale_exp.
+    (part_a is the lighter side).  Class 1 carries no profits: it is
+    solved on the reduced instance's vertex profits.  cost_units (by
+    reduced id) and limit_units are prepare's units; scaled_cost(v) is
+    cost_units[v] / (den * cost_scale), cost_scale = 2**scale_exp.
     buckets: (i, i) for classes 2/3, (tail, i) for class 4, and (i, j)
     with i < j for class 5 (part_a lives in bucket j, part_b in i).
     """
@@ -58,7 +56,6 @@ class SubInstance:
     part_a: Optional[tuple[int, ...]] = None
     part_b: Optional[tuple[int, ...]] = None
     profit_level: Optional[Rational] = None
-    vprofit: Optional[tuple[Rational, ...]] = None
     buckets: Optional[tuple[int, int]] = None
     d_gap: Optional[Rational] = None
 
@@ -80,12 +77,6 @@ class SubInstance:
     @property
     def scaled_limit(self) -> Rational:
         return as_rational(Fraction(*self.limit_ratio()))
-
-    def profit_mass(self) -> Rational:
-        """Total profit carried by this sub-instance."""
-        if self.class_tag == 1:
-            return sum(self.vprofit) if self.vprofit else 0
-        return self.profit_level * len(self.edges)
 
     def to_json_obj(self) -> dict:
         return {
@@ -123,7 +114,6 @@ def decompose(prep: PreparedInstance) -> list[SubInstance]:
             class_tag=1,
             vertices=tuple(range(inst.n)),
             edges=(),
-            vprofit=inst.vprofit,
             **units,
         )
     ]
@@ -165,38 +155,3 @@ def decompose(prep: PreparedInstance) -> list[SubInstance]:
             )
         )
     return subs
-
-
-def subinstance_count_bound(n: int) -> float:
-    """The 2*(log2 n + 1)^3 + 1 ceiling on the number of sub-instances."""
-    import math
-
-    if n < 1:
-        return 1.0
-    return 2 * (math.log2(n) + 1) ** 3 + 1
-
-
-def subinstance_as_qkp(sub: SubInstance, unit_edge_profit: bool = False) -> tuple[QkpInstance, tuple[int, ...]]:
-    """Materialize a sub-instance as a standalone QKP at its scaled limit.
-
-    Returns the instance over densely relabeled vertices and the tuple
-    mapping local ids back to the sub-instance's reduced ids.  With
-    unit_edge_profit the edges carry profit 1 (edge counting).
-    """
-    members = sub.vertices
-    local = {v: i for i, v in enumerate(members)}
-    profit = 1 if unit_edge_profit else (sub.profit_level or 1)
-    if sub.vprofit:
-        vp = tuple(sub.vprofit[v] for v in members)
-    else:
-        vp = (0,) * len(members)
-    inst = QkpInstance(
-        n=len(members),
-        cost=tuple(sub.scaled_cost(v) for v in members),
-        vprofit=vp,
-        edges=tuple(
-            (local[u], local[v], profit) for u, v in sub.edges
-        ),
-        limit=sub.scaled_limit,
-    )
-    return inst, members

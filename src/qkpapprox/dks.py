@@ -65,14 +65,14 @@ class UGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def induced_edge_count(self, subset) -> int:
-        chosen = set(subset)
-        return sum(1 for u, v in self.edges if u in chosen and v in chosen)
-
 
 @dataclass(frozen=True)
 class DksBackend:
-    """A DkS solver plus the approximation-ratio exponent it claims."""
+    """A DkS solver plus the approximation-ratio exponent it claims.
+
+    declared_alpha is a declaration, not a checked ratio.  It only chooses
+    solve_class5's case: degree selection or replication into one DkS call.
+    """
 
     name: str
     declared_alpha: Rational
@@ -86,7 +86,8 @@ class DksBackend:
 
 
 def solve_dks(graph: UGraph, k: int, backend: DksBackend) -> tuple[int, ...]:
-    """Exactly min(k, n) vertices chosen by the backend; deterministic."""
+    """Exactly min(k, n) distinct vertices chosen by the backend (else
+    RuntimeError); deterministic."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     k_eff = min(k, graph.n)
@@ -95,9 +96,11 @@ def solve_dks(graph: UGraph, k: int, backend: DksBackend) -> tuple[int, ...]:
     if k_eff == graph.n:
         return tuple(range(graph.n))
     chosen = tuple(sorted(backend.solver(graph, k_eff)))
-    if len(chosen) != k_eff:
+    sized = len(set(chosen)) == len(chosen) == k_eff
+    if not (sized and 0 <= chosen[0] and chosen[-1] < graph.n):
         raise RuntimeError(
-            f"backend {backend.name} returned {len(chosen)} vertices, wanted {k_eff}"
+            f"backend {backend.name} returned {chosen}, wanted {k_eff}"
+            f" distinct vertices of 0..{graph.n - 1}"
         )
     return chosen
 
@@ -261,6 +264,10 @@ def dks_greedy_peel(graph: UGraph, k: int) -> tuple[int, ...]:
 
 
 EXACT_BACKEND = DksBackend("exact", 0, dks_exact)
+# alpha = 1/2 is declared, not proven: min-degree peeling is only known to
+# be within an O(n/k)-type factor of the densest k-subgraph (Asahiro,
+# Iwama, Tamaki & Tokuyama 2000; Feige, Kortsarz & Peleg 2001).  The value
+# only steers solve_class5's case choice (see DksBackend).
 GREEDY_BACKEND = DksBackend("greedy", Fraction(1, 2), dks_greedy_peel)
 
 _BACKENDS = {"exact": EXACT_BACKEND, "greedy": GREEDY_BACKEND}

@@ -14,16 +14,14 @@ def random_instance(
     max_profit: int = 20,
     limit_frac="1/2",
     seed=None,
-    rng: random.Random | None = None,
-    allow_zero_cost: bool = True,
 ) -> QkpInstance:
     """Deterministic random instance for a fixed seed.
 
-    Integer costs in [0, max_cost] (zero-cost vertices exercise the fold;
-    disable via allow_zero_cost), vertex profits in [0, max_profit], each
-    vertex pair gets an edge with probability `density` carrying an
-    integer profit in [0, max_profit].  The limit is limit_frac times the
-    total cost, kept exact.
+    Integer costs in [0, max_cost] (zero-cost vertices exercise the fold),
+    vertex profits in [0, max_profit], and each vertex pair gets an edge
+    with probability `density` carrying an integer profit in
+    [0, max_profit].  The limit is limit_frac times the total cost, kept
+    exact.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -34,11 +32,8 @@ def random_instance(
     frac = Fraction(as_rational(limit_frac))
     if frac < 0:
         raise ValueError(f"limit_frac must be nonnegative, got {limit_frac}")
-    if rng is None:
-        rng = random.Random(seed)
-
-    lo_cost = 0 if allow_zero_cost else 1
-    costs = tuple(rng.randint(lo_cost, max_cost) for _ in range(n))
+    rng = random.Random(seed)
+    costs = tuple(rng.randint(0, max_cost) for _ in range(n))
     vprofits = tuple(rng.randint(0, max_profit) for _ in range(n))
     edges = []
     for u in range(n):

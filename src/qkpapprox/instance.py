@@ -69,15 +69,6 @@ class QkpInstance:
             object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in nbrs))
         return self._adj
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
-
-    def total_cost(self) -> Rational:
-        return sum(self.cost)
-
-    def total_profit(self) -> Rational:
-        return sum(self.vprofit) + sum(p for _, _, p in self.edges)
-
 
 @dataclass(frozen=True)
 class Solution:

@@ -27,11 +27,13 @@ argument.
 
 from array import array
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 from .errors import CapacityError
 from .rational import as_rational, to_units
 
-DEFAULT_MAX_ITEMS = 25
+DEFAULT_KNAPSACK_EPS = Fraction(1, 4)  # the FPTAS eps every caller defaults to
+_EXACT_MAX_ITEMS = 25
 _INT_CAPACITY_GUARD = 1_000_000
 
 
@@ -243,20 +245,20 @@ def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
     return _sweep(*_integral(scaled, capacity))
 
 
-def knapsack_exact(items, capacity, max_items: int = DEFAULT_MAX_ITEMS) -> tuple[int, ...]:
+def knapsack_exact(items, capacity) -> tuple[int, ...]:
     """Exact 0/1 knapsack by dominance sweep; returns chosen item indices.
 
-    Guarded: beyond max_items items the sweep only runs when the capacity,
-    in the integer units the costs are scaled to, is small enough to bound
-    the frontier; otherwise CapacityError.
+    Guarded: beyond _EXACT_MAX_ITEMS (25) usable items the sweep only runs
+    when the capacity, in the integer units the costs are scaled to, is
+    small enough to bound the frontier; otherwise CapacityError.
     """
     usable, capacity = _usable(items, capacity)
     if not usable:
         return ()
     indices, costs, profits, capacity = _integral(usable, capacity)
-    if len(usable) > max_items and capacity > _INT_CAPACITY_GUARD:
+    if len(usable) > _EXACT_MAX_ITEMS and capacity > _INT_CAPACITY_GUARD:
         raise CapacityError(
-            f"exact knapsack limited to {max_items} items "
+            f"exact knapsack limited to {_EXACT_MAX_ITEMS} items "
             f"(or a capacity of at most {_INT_CAPACITY_GUARD} cost units)"
         )
     return _sweep(indices, costs, profits, capacity)

@@ -25,26 +25,33 @@ from .classsolvers import (
 from .decompose import decompose
 from .dks import DksBackend, get_backend
 from .instance import QkpInstance, Solution, evaluate, validate
-from .knapsack import knapsack_fptas
+from .knapsack import DEFAULT_KNAPSACK_EPS, knapsack_fptas
 from .preprocess import _beats, prepare
-from .rational import Rational, ceil_log2, rational_to_json
+from .rational import Rational, as_rational, ceil_log2, rational_to_json
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Tunables for one solve run."""
+    """Tunables for one solve run.
+
+    knapsack_eps and alpha_override pass through as_rational, so a "p/q"
+    string is accepted and a float raises TypeError.
+    """
 
     dks_backend: Union[str, DksBackend] = "greedy"
-    knapsack_eps: Rational = Fraction(1, 4)
+    knapsack_eps: Rational = DEFAULT_KNAPSACK_EPS
     alpha_override: Optional[Rational] = None
 
     def __post_init__(self):
-        if not 0 < Fraction(self.knapsack_eps) < 1:
-            raise ValueError(f"knapsack_eps must be in (0,1), got {self.knapsack_eps}")
-        if self.alpha_override is not None and not (
-            0 <= Fraction(self.alpha_override) < 1
-        ):
-            raise ValueError(f"alpha_override must be in [0,1), got {self.alpha_override}")
+        eps = as_rational(self.knapsack_eps)
+        if not 0 < eps < 1:
+            raise ValueError(f"knapsack_eps must be in (0,1), got {eps}")
+        object.__setattr__(self, "knapsack_eps", eps)
+        if self.alpha_override is not None:
+            alpha = as_rational(self.alpha_override)
+            if not 0 <= alpha < 1:
+                raise ValueError(f"alpha_override must be in [0,1), got {alpha}")
+            object.__setattr__(self, "alpha_override", alpha)
 
     def backend(self) -> DksBackend:
         if isinstance(self.dks_backend, DksBackend):

@@ -162,13 +162,6 @@ def _fallback(vprofit, pairs, base_profit, always, orig_of):
     return best
 
 
-def smallest_int_above_log2(n: int) -> int:
-    """Smallest integer strictly greater than log2(n), n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n.bit_length()
-
-
 def _rounded_edges(n: int, edges) -> tuple[tuple, tuple[Rational, ...]]:
     """round_profits' edges and level ladder for n vertices.  Each distinct
     profit is rounded once, and the edges are rebuilt only when a profit
@@ -178,7 +171,7 @@ def _rounded_edges(n: int, edges) -> tuple[tuple, tuple[Rational, ...]]:
     if p_star <= 0:
         return (), ()
     l_exp = floor_log2(p_star)
-    q = smallest_int_above_log2(n * n)
+    q = (n * n).bit_length()  # the smallest integer above log2(n*n)
     levels = tuple(pow2(l_exp - j) for j in range(q + 1)) + (0,)
     level_of = {p: pow2(e) for p in values if p > 0 and (e := floor_log2(p)) >= l_exp - q}
     if len(level_of) < len(values):
@@ -217,7 +210,7 @@ def bucket_costs(inst: QkpInstance) -> tuple[dict[int, int], int, int]:
             )
     c_star = max(inst.cost)
     k = ceil_log2(c_star)
-    l = smallest_int_above_log2(inst.n)
+    l = inst.n.bit_length()  # the smallest integer above log2(n)
     bucket_of = {}
     for v in range(inst.n):
         i = k + 1 - ceil_log2(inst.cost[v])

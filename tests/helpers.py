@@ -4,6 +4,7 @@ The brute-force solvers here deliberately avoid the library's adjacency
 and search machinery so they can serve as independent cross-checks.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +12,9 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from qkpapprox import orchestrator
+from qkpapprox.classsolvers import ReplicatedGraph
 from qkpapprox.decompose import SubInstance, decompose
+from qkpapprox.dks import UGraph
 from qkpapprox.instance import QkpInstance, Solution, evaluate
 from qkpapprox.orchestrator import RunReport, SubRecord, _beats
 from qkpapprox.preprocess import PreparedInstance, bucket_costs, prepare
@@ -257,6 +260,75 @@ def sub_edge_count(sub: SubInstance, chosen) -> int:
 
 def sub_cost(sub: SubInstance, chosen) -> Fraction:
     return sum((Fraction(sub.scaled_cost(v)) for v in chosen), Fraction(0))
+
+
+# Derived views of library objects that only the tests read.
+
+
+def instance_degree(inst: QkpInstance, v: int) -> int:
+    return len(inst.adjacency()[v])
+
+
+def instance_total_profit(inst: QkpInstance):
+    return sum(inst.vprofit) + sum(p for _, _, p in inst.edges)
+
+
+def induced_edge_count(graph: UGraph, subset) -> int:
+    chosen = set(subset)
+    return sum(1 for u, v in graph.edges if u in chosen and v in chosen)
+
+
+def profit_mass(sub: SubInstance, vprofit=None):
+    """Total profit carried by a sub-instance.  vprofit is the reduced
+    instance's vertex-profit tuple, which class 1 is solved on."""
+    if sub.class_tag == 1:
+        return sum(vprofit) if vprofit else 0
+    return sub.profit_level * len(sub.edges)
+
+
+def subinstance_count_bound(n: int) -> float:
+    """The 2*(log2 n + 1)^3 + 1 ceiling on the number of sub-instances."""
+    if n < 1:
+        return 1.0
+    return 2 * (math.log2(n) + 1) ** 3 + 1
+
+
+def subinstance_as_qkp(
+    sub: SubInstance, unit_edge_profit: bool = False, vprofit=None
+) -> tuple[QkpInstance, tuple[int, ...]]:
+    """Materialize a sub-instance as a standalone QKP at its scaled limit.
+
+    Returns the instance over densely relabeled vertices and the tuple
+    mapping local ids back to the sub-instance's reduced ids.  With
+    unit_edge_profit the edges carry profit 1 (edge counting).  vprofit,
+    the reduced instance's vertex profits, is used for class 1 only.
+    """
+    members = sub.vertices
+    local = {v: i for i, v in enumerate(members)}
+    profit = 1 if unit_edge_profit else (sub.profit_level or 1)
+    if sub.class_tag == 1 and vprofit:
+        vp = tuple(vprofit[v] for v in members)
+    else:
+        vp = (0,) * len(members)
+    inst = QkpInstance(
+        n=len(members),
+        cost=tuple(sub.scaled_cost(v) for v in members),
+        vprofit=vp,
+        edges=tuple(
+            (local[u], local[v], profit) for u, v in sub.edges
+        ),
+        limit=sub.scaled_limit,
+    )
+    return inst, members
+
+
+def replicated_costs(rep: ReplicatedGraph, sub: SubInstance) -> tuple:
+    """Scaled cost of each local id of replicate(sub): a light vertex keeps
+    its cost, and each copy of a heavy vertex takes a 1/d share."""
+    cost = sub.scaled_cost
+    return tuple(map(cost, rep.a_members)) + tuple(
+        Fraction(cost(b)) / rep.d for b in rep.b_members for _ in range(rep.d)
+    )
 
 
 def reference_feasible_b_subsets(part_b, scaled_cost, budget, max_size, cap):

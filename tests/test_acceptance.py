@@ -10,16 +10,21 @@ from fractions import Fraction
 from helpers import (
     brute_force_dks,
     brute_force_opt,
+    induced_edge_count,
+    profit_mass,
     random_bipartite_sub,
     random_class3_sub,
     random_class4_sub,
     random_class5_case2_sub,
+    replicated_costs,
     sub_cost,
     sub_edge_count,
+    subinstance_as_qkp,
+    subinstance_count_bound,
 )
 from qkpapprox.classsolvers import replicate, solve_class3, solve_class4, solve_class5
 from qkpapprox.cli import main
-from qkpapprox.decompose import decompose, subinstance_as_qkp, subinstance_count_bound
+from qkpapprox.decompose import decompose
 from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, UGraph, solve_dks
 from qkpapprox.generate import random_instance
 from qkpapprox.instance import QkpInstance
@@ -127,7 +132,7 @@ def test_criterion_4_decomposition_soundness():
                 assert e not in seen, f"trial {trial}: edge in two sub-instances"
                 seen.add(e)
         assert len(seen) == len(prep.reduced.edges), f"trial {trial}: edge lost"
-        mass = sum(s.profit_mass() for s in subs)
+        mass = sum(profit_mass(s, prep.reduced.vprofit) for s in subs)
         expected = sum(p for _, _, p in prep.reduced.edges) + sum(prep.reduced.vprofit)
         assert mass == expected, f"trial {trial}: profit mass not conserved"
         assert len(subs) <= subinstance_count_bound(max(prep.reduced.n, 1))
@@ -198,7 +203,7 @@ def test_criterion_6_replication_inequality():
         base_inst, _ = subinstance_as_qkp(sub, unit_edge_profit=True)
         rep_inst = QkpInstance(
             n=rep.graph.n,
-            cost=rep.costs,
+            cost=replicated_costs(rep, sub),
             vprofit=(0,) * rep.graph.n,
             edges=tuple((u, v, 1) for u, v in rep.graph.edges),
             limit=sub.scaled_limit,
@@ -247,7 +252,7 @@ def test_criterion_8_dks_backends():
         greedy_set = solve_dks(g, k, GREEDY_BACKEND)
         assert len(exact_set) == min(k, n)
         assert len(greedy_set) == min(k, n)
-        assert g.induced_edge_count(exact_set) == brute_force_dks(n, edges, k)
+        assert induced_edge_count(g, exact_set) == brute_force_dks(n, edges, k)
     _passed(8, "200/200 exact == enumeration; both backends return min(k, n) vertices")
 
 

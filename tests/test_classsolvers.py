@@ -12,10 +12,13 @@ from helpers import (
     reference_feasible_b_subsets,
     random_class4_sub,
     random_class5_case2_sub,
+    replicated_costs,
     sub_cost,
     sub_edge_count,
     sub_from_scaled,
+    subinstance_as_qkp,
 )
+from qkpapprox import classsolvers
 from qkpapprox.classsolvers import (
     _adj_sets,
     _degree_select,
@@ -27,7 +30,6 @@ from qkpapprox.classsolvers import (
     solve_class4,
     solve_class5,
 )
-from qkpapprox.decompose import subinstance_as_qkp
 from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, DksBackend, UGraph
 from qkpapprox.instance import QkpInstance
 from qkpapprox.oracle import exact_qkp
@@ -174,7 +176,8 @@ def test_replicated_graph_shape():
     rep = replicate(sub)
     assert rep.graph.n == 3
     assert len(rep.graph.edges) == 2
-    assert rep.costs[1] == rep.costs[2] == Fraction(3, 2)
+    costs = replicated_costs(rep, sub)
+    assert costs[1] == costs[2] == Fraction(3, 2)
     assert rep.copy_base(1) == rep.copy_base(2) == 1
 
 
@@ -219,7 +222,7 @@ def test_replication_value_bound_tiny():
     base_inst, _ = subinstance_as_qkp(sub, unit_edge_profit=True)
     rep_inst = QkpInstance(
         n=rep.graph.n,
-        cost=rep.costs,
+        cost=replicated_costs(rep, sub),
         vprofit=(0,) * rep.graph.n,
         edges=tuple((u, v, 1) for u, v in rep.graph.edges),
         limit=sub.scaled_limit,
@@ -249,13 +252,14 @@ def test_class5_case_threshold_exact_backend():
     assert out.case == "case1"
 
 
-def test_class5_replication_cap_falls_back_to_case1():
+def test_class5_replication_cap_falls_back_to_case1(monkeypatch):
+    monkeypatch.setattr(classsolvers, "REPLICATION_CAP", 5)
     part_a = tuple(range(10))
     part_b = (10,)
     costs = [Fraction(3, 2)] * 10 + [3]
     edges = [(a, 10) for a in part_a]
     sub = make_sub(5, costs, edges, limit=8, part_a=part_a, part_b=part_b, d=2)
-    out = solve_class5(sub, EXACT_BACKEND, replication_cap=5)
+    out = solve_class5(sub, EXACT_BACKEND)
     assert out.case == "case1"
     assert "replication_cap_exceeded" in out.fallbacks
 

@@ -1,13 +1,16 @@
 """CLI commands: solve, generate, bench, verify."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from qkpapprox.cli import main
+from qkpapprox.generate import random_instance
 from qkpapprox.instance import QkpInstance, dumps_canonical, instance_to_json_obj, save_instance
 from qkpapprox.oracle import exact_qkp
+from qkpapprox.orchestrator import solve
 
 
 def write_triangle(path, limit=2):
@@ -45,6 +48,28 @@ def test_solve_writes_report_and_dump(tmp_path):
     assert rep["backend"] == "exact"
     assert any(r["case"] == "singleton_pair_scan" for r in rep["records"])
     assert json.loads(dump.read_text())[0]["class"] == 1
+
+
+# sha256 of the dump and of the timing-free report for one seeded
+# instance that reaches classes 1, 3, 4 and 5.  A change to either means
+# the decomposition or a candidate changed.
+PINNED_DUMP_SHA256 = "ae753e167ed2516303f96c786c9f5d4e84120a777856aea9952f47a67c80ea17"
+PINNED_REPORT_SHA256 = "1dc067763bc2b5ebfb24b8f4fb1b723289594fb4a97f09866021bb891d4b3cc1"
+
+
+def test_dump_and_report_bytes_are_pinned(tmp_path):
+    inst = random_instance(30, 0.4, 1000, 20, "1/3", seed=1)
+    inst_path, dump = tmp_path / "inst.json", tmp_path / "dump.json"
+    save_instance(inst, str(inst_path))
+    code = main([
+        "solve", "--input", str(inst_path), "--output", str(tmp_path / "s.json"),
+        "--dump-decomposition", str(dump),
+    ])
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == PINNED_DUMP_SHA256
+    _, report = solve(inst)
+    text = dumps_canonical(report.to_json_obj(include_timing=False))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256
 
 
 def test_solve_malformed_json(tmp_path, capsys):

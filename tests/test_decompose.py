@@ -6,8 +6,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
-from helpers import brute_force_opt, qkp_instances
-from qkpapprox.decompose import decompose, subinstance_as_qkp, subinstance_count_bound
+from helpers import (
+    brute_force_opt,
+    profit_mass,
+    qkp_instances,
+    subinstance_as_qkp,
+    subinstance_count_bound,
+)
+from qkpapprox.decompose import decompose
 from qkpapprox.instance import QkpInstance
 from qkpapprox.preprocess import prepare
 from qkpapprox.rational import pow2
@@ -126,7 +132,7 @@ def test_edges_partition_and_mass_conservation(inst):
             assert e not in seen, "edge assigned to two sub-instances"
             seen[e] = s.class_tag
     assert len(seen) == len(prep.reduced.edges)
-    mass = sum(s.profit_mass() for s in subs)
+    mass = sum(profit_mass(s, prep.reduced.vprofit) for s in subs)
     expected = sum(p for _, _, p in prep.reduced.edges) + sum(prep.reduced.vprofit)
     assert mass == expected
     n = max(prep.reduced.n, 1)
@@ -185,7 +191,7 @@ def test_averaging_bound_against_oracle():
         best_share = Fraction(0)
         for sub in subs:
             # sub-instance at the unscaled limit: scale values back up
-            sub_qkp, _ = subinstance_as_qkp(sub)
+            sub_qkp, _ = subinstance_as_qkp(sub, vprofit=prep.reduced.vprofit)
             raw = QkpInstance(
                 n=sub_qkp.n,
                 cost=tuple(Fraction(c) * Fraction(sub.cost_scale) for c in sub_qkp.cost),

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_dks, reference_completion_bound, reference_dks_enum
+from helpers import (
+    brute_force_dks,
+    induced_edge_count,
+    reference_completion_bound,
+    reference_dks_enum,
+)
 from qkpapprox import dks
 from qkpapprox.dks import (
     DEFAULT_BUDGET,
@@ -32,13 +37,13 @@ def triangle():
 def test_exact_triangle_k2():
     chosen = solve_dks(triangle(), 2, EXACT_BACKEND)
     assert len(chosen) == 2
-    assert triangle().induced_edge_count(chosen) == 1
+    assert induced_edge_count(triangle(), chosen) == 1
 
 
 def test_exact_two_triangles_plus_isolated():
     g = UGraph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     chosen = solve_dks(g, 3, EXACT_BACKEND)
-    assert g.induced_edge_count(chosen) == 3
+    assert induced_edge_count(g, chosen) == 3
     assert brute_force_dks(7, g.edges, 3) == 3
 
 
@@ -50,7 +55,7 @@ def test_k_zero_returns_empty():
 def test_exact_star_k2():
     g = UGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
     chosen = dks_exact(g, 2)
-    assert g.induced_edge_count(chosen) == 1
+    assert induced_edge_count(g, chosen) == 1
 
 
 def test_greedy_peel_path():
@@ -58,21 +63,21 @@ def test_greedy_peel_path():
     g = UGraph(4, ((0, 1), (1, 2), (2, 3)))
     chosen = dks_greedy_peel(g, 2)
     assert chosen == (2, 3)
-    assert g.induced_edge_count(chosen) == 1
+    assert induced_edge_count(g, chosen) == 1
 
 
 def test_greedy_clique_k3():
     g = UGraph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
     chosen = dks_greedy_peel(g, 3)
     assert len(chosen) == 3
-    assert g.induced_edge_count(chosen) == 3
+    assert induced_edge_count(g, chosen) == 3
 
 
 def test_greedy_empty_graph():
     g = UGraph(4, ())
     chosen = dks_greedy_peel(g, 2)
     assert len(chosen) == 2
-    assert g.induced_edge_count(chosen) == 0
+    assert induced_edge_count(g, chosen) == 0
 
 
 def test_greedy_returns_all_when_k_exceeds_n():
@@ -104,6 +109,14 @@ def test_exact_node_budget_guard():
         dks_exact(g, 12, budget=50)
 
 
+@pytest.mark.parametrize("answer", [(0, 0), (4, 5)])
+def test_solve_dks_rejects_repeated_or_out_of_range_ids(answer):
+    path = UGraph(4, ((0, 1), (1, 2), (2, 3)))
+    stub = DksBackend("stub", 0, lambda graph, k: answer)
+    with pytest.raises(RuntimeError):
+        solve_dks(path, 2, stub)
+
+
 def test_backend_alpha_validated():
     with pytest.raises(ValueError):
         DksBackend("bad", 1, dks_exact)
@@ -125,7 +138,7 @@ def test_exact_matches_enumeration_random_graphs():
         k = rng.randint(0, n)
         chosen = solve_dks(g, k, EXACT_BACKEND)
         assert len(chosen) == min(k, n)
-        assert g.induced_edge_count(chosen) == brute_force_dks(n, edges, k)
+        assert induced_edge_count(g, chosen) == brute_force_dks(n, edges, k)
 
 
 def test_branch_and_bound_agrees_with_enumeration():

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_opt, qkp_instances, reference_validate
+from helpers import (
+    brute_force_opt,
+    instance_degree,
+    qkp_instances,
+    reference_validate,
+)
 from qkpapprox.instance import (
     QkpInstance,
     evaluate,
@@ -178,7 +183,7 @@ def test_json_decimal_literals_parse_exactly():
 
 def test_adjacency_degree():
     inst = triangle()
-    assert [inst.degree(v) for v in range(3)] == [2, 2, 2]
+    assert [instance_degree(inst, v) for v in range(3)] == [2, 2, 2]
     assert instance_to_json_obj(inst)["n"] == 3
 
 

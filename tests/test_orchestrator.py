@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_opt,
+    instance_total_profit,
     qkp_instances,
     rational_instances,
     rationals,
@@ -53,7 +54,7 @@ def test_unconstrained_limit_saturates():
         limit=10,
     )
     sol, _ = solve(inst)
-    assert sol.total_profit == inst.total_profit()
+    assert sol.total_profit == instance_total_profit(inst)
     assert sol.vertices == (0, 1, 2, 3)
 
 
@@ -76,6 +77,20 @@ def test_config_validation():
         SolveConfig(knapsack_eps=Fraction(3, 2))
     with pytest.raises(ValueError):
         SolveConfig(alpha_override=2)
+
+
+def test_config_normalises_eps_and_alpha():
+    # floats are refused when the config is built, not inside a solver
+    with pytest.raises(TypeError):
+        SolveConfig(alpha_override=0.5)
+    with pytest.raises(TypeError):
+        SolveConfig(knapsack_eps=0.25)
+    cfg = SolveConfig(alpha_override="1/2")
+    assert cfg.alpha_override == Fraction(1, 2)
+    # reaches class 5, the one reader of alpha
+    inst = random_instance(30, 0.4, 1000, 20, "1/3", seed=1)
+    _, report = solve(inst, cfg)
+    assert any(r.class_tag == 5 and r.case == "case1" for r in report.records)
 
 
 def test_determinism_same_config():
