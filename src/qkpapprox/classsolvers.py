@@ -211,9 +211,13 @@ def _feasible_b_subsets(part_b, cost_units, budget, max_size, cap):
 def _enum_small_b(sub: SubInstance, eps) -> ClassOutcome:
     """Try every small heavy-side subset; knapsack the light side per subset.
 
-    Used when the scaled limit is below 8*d, where any feasible solution
-    holds at most 7 heavy vertices (each costs more than d), so the cost
-    pruning keeps the enumeration tight.
+    Classes 4 and 5 send it sub-instances whose scaled limit is below 4*d;
+    class 4 also those below 8*d with at most 16 heavy vertices, and every
+    one with fewer than 4 light vertices, at any limit.  Subsets hold at
+    most min(7, floor(limit/d)) heavy vertices (each costs more than d):
+    below 8*d that is every feasible heavy side.  Under a larger limit the
+    subsets can be far more, and the enumeration stops after
+    ENUM_COMBO_CAP of them with the note enum_b4_capped.
     """
     part_a = tuple(sub.part_a or ())
     part_b = tuple(sub.part_b or ())
@@ -291,12 +295,10 @@ def solve_class4(sub: SubInstance, eps=DEFAULT_KNAPSACK_EPS) -> ClassOutcome:
 
 
 def solve_class5(
-    sub: SubInstance,
-    backend: DksBackend,
-    alpha: Rational | None = None,
-    eps=DEFAULT_KNAPSACK_EPS,
+    sub: SubInstance, backend: DksBackend, eps=DEFAULT_KNAPSACK_EPS
 ) -> ClassOutcome:
-    """Case split on the light-side size against limit^((1+a)/(1-a)).
+    """Case split on the light-side size against limit^((1+a)/(1-a)), a
+    the backend's declared_alpha.
 
     Small light side: pure degree selection (case 1).  Large light side:
     replicate the heavy side into d unit-cost copies, run DkS with
@@ -311,8 +313,7 @@ def solve_class5(
     adj = _adj_sets(sub)
     m_a, m_b = max(1, _limit_over(sub, 4)), max(1, per_4d)
 
-    alpha = backend.declared_alpha if alpha is None else alpha
-    small_a = _case1_applies(sub, len(part_a), alpha)
+    small_a = _case1_applies(sub, len(part_a), backend.declared_alpha)
     if small_a or len(part_a) + int(sub.d_gap) * len(part_b) > REPLICATION_CAP:
         b_prime = _top(part_b, m_b, lambda b: len(adj[b]))
         verts, trim_note = _degree_select(sub, adj, b_prime, part_a, m_a)

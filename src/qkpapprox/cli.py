@@ -6,12 +6,14 @@ fixed seed and configuration.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
 
 from .decompose import decompose
+from .dks import get_backend
 from .errors import CapacityError
 from .generate import random_instance
 from .instance import (
@@ -57,11 +59,10 @@ def _solve_one(input_path: str, output_path: str | None, args) -> int:
     if problems:
         return _fail("invalid instance: " + "; ".join(problems), 2)
     try:
-        cfg = SolveConfig(
-            dks_backend=args.dks,
-            knapsack_eps=args.eps,
-            alpha_override=args.alpha,
-        )
+        backend = get_backend(args.dks)
+        if args.alpha is not None:
+            backend = dataclasses.replace(backend, declared_alpha=args.alpha)
+        cfg = SolveConfig(dks_backend=backend, knapsack_eps=args.eps)
     except ValueError as exc:
         return _fail(str(exc), 2)
     solution, report = solve(inst, cfg)
@@ -102,16 +103,16 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _draw(args, n: int, seed: int):
+    """random_instance from the shared generator flags and args.density."""
+    return random_instance(
+        n, args.density, args.max_cost, args.max_profit, args.limit_frac, seed
+    )
+
+
 def cmd_generate(args) -> int:
     try:
-        inst = random_instance(
-            n=args.n,
-            density=args.density,
-            max_cost=args.max_cost,
-            max_profit=args.max_profit,
-            limit_frac=args.limit_frac,
-            seed=args.seed,
-        )
+        inst = _draw(args, args.n, args.seed)
     except ValueError as exc:
         return _fail(str(exc), 2)
     _write(dumps_canonical(instance_to_json_obj(inst)), args.output)
@@ -131,9 +132,6 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 def cmd_bench(args) -> int:
     try:
         lo, hi = _parse_n_range(args.n_range)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
         cfg = SolveConfig(dks_backend=args.dks, knapsack_eps=args.eps)
     except ValueError as exc:
         return _fail(str(exc), 2)
@@ -144,19 +142,14 @@ def cmd_bench(args) -> int:
     for trial in range(args.trials):
         n = lo + (trial % (hi - lo + 1))
         seed = args.seed + trial
-        inst = random_instance(
-            n=n,
-            density=args.density,
-            max_cost=args.max_cost,
-            max_profit=args.max_profit,
-            limit_frac=args.limit_frac,
-            seed=seed,
-        )
         try:
+            inst = _draw(args, n, seed)
             opt = exact_qkp(inst)
         except CapacityError:
             notices.append(f"trial {trial}: oracle capacity exceeded at n={n}, skipped")
             continue
+        except ValueError as exc:
+            return _fail(str(exc), 2)
         sol, report = solve(inst, cfg)
         floor = guaranteed_floor(n)
         if opt.total_profit > 0:
@@ -206,7 +199,7 @@ def cmd_verify(args) -> int:
         inst = load_instance(args.input)
         with open(args.solution, "r", encoding="utf-8") as fh:
             claimed = json.load(fh, parse_float=Fraction)
-        vertices = [int(v) for v in claimed["vertices"]]
+        vertices = list(claimed["vertices"])
         claimed_cost = rational_from_json(claimed["cost"])
         claimed_profit = rational_from_json(claimed["profit"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -214,10 +207,12 @@ def cmd_verify(args) -> int:
 
     try:
         cost, profit = evaluate(inst, vertices)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: an unhashable id
         print(f"MISMATCH: {exc}")
         return 1
     issues = []
+    if len(set(vertices)) != len(vertices):
+        issues.append("repeated vertex id")
     if cost > inst.limit:
         issues.append(f"infeasible: cost {cost} exceeds limit {inst.limit}")
     if cost != claimed_cost:
@@ -239,6 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the random_instance flags that generate and bench share; each command
+    # adds its own --density, required by generate and 0.5 in bench
+    gen_flags = argparse.ArgumentParser(add_help=False)
+    gen_flags.add_argument("--max-cost", type=int, default=20)
+    gen_flags.add_argument("--max-profit", type=int, default=20)
+    gen_flags.add_argument("--limit-frac", type=_rational_arg, default=Fraction(1, 2))
+    gen_flags.add_argument("--seed", type=int, default=0)
+
     p_solve = sub.add_parser("solve", help="solve an instance file (or a directory of them)")
     p_solve.add_argument("--input", required=True)
     p_solve.add_argument(
@@ -255,26 +258,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=cmd_solve)
 
-    p_gen = sub.add_parser("generate", help="generate a random instance")
+    p_gen = sub.add_parser(
+        "generate", parents=[gen_flags], help="generate a random instance"
+    )
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--density", type=float, required=True)
-    p_gen.add_argument("--max-cost", type=int, default=20)
-    p_gen.add_argument("--max-profit", type=int, default=20)
-    p_gen.add_argument("--limit-frac", type=_rational_arg, default=Fraction(1, 2))
-    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", default=None, help="instance JSON (default stdout)")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_bench = sub.add_parser("bench", help="measure ratios against the exact oracle")
+    p_bench = sub.add_parser(
+        "bench", parents=[gen_flags], help="measure ratios against the exact oracle"
+    )
     p_bench.add_argument("--trials", type=int, required=True)
     p_bench.add_argument("--n-range", required=True, help="e.g. 6:12")
     p_bench.add_argument("--dks", choices=["exact", "greedy"], default="greedy")
     p_bench.add_argument("--density", type=float, default=0.5)
-    p_bench.add_argument("--max-cost", type=int, default=20)
-    p_bench.add_argument("--max-profit", type=int, default=20)
-    p_bench.add_argument("--limit-frac", type=_rational_arg, default=Fraction(1, 2))
     p_bench.add_argument("--eps", type=_rational_arg, default=DEFAULT_KNAPSACK_EPS)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--json-out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

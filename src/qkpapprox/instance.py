@@ -160,14 +160,21 @@ def instance_to_json_obj(inst: QkpInstance) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def instance_from_json_obj(obj: dict) -> QkpInstance:
     try:
         return QkpInstance(
-            n=int(obj["n"]),
+            n=_json_int(obj["n"]),
             cost=tuple(rational_from_json(c) for c in obj["costs"]),
             vprofit=tuple(rational_from_json(p) for p in obj["vertex_profits"]),
             edges=tuple(
-                (int(e[0]), int(e[1]), rational_from_json(e[2])) for e in obj["edges"]
+                (_json_int(e[0]), _json_int(e[1]), rational_from_json(e[2]))
+                for e in obj["edges"]
             ),
             limit=rational_from_json(obj["limit"]),
         )

@@ -14,7 +14,9 @@ scaled by the cost factor and floored.  This is exact: scaling by a
 positive factor keeps every comparison, and a sum of integers is at most
 C exactly when it is at most floor(C).  The FPTAS's profit scaling is an
 integer quotient on the profit units P: p_hat = floor(P * n * q / (r *
-P_max)) for eps = r/q.  The sweep then runs on flat int lists.
+P_max)) for eps = r/q; items with p_hat = 0 are dropped after it, and
+their cost denominators, left in the cost factor, change no comparison.
+The sweep then runs on flat int lists.
 
 The sweep prunes by an upper bound (Martello, Pisinger & Toth 1999).  It
 keeps a feasible profit lb and drops every state whose profit plus the
@@ -35,20 +37,6 @@ from .rational import as_rational, to_units
 DEFAULT_KNAPSACK_EPS = Fraction(1, 4)  # the FPTAS eps every caller defaults to
 _EXACT_MAX_ITEMS = 25
 _INT_CAPACITY_GUARD = 1_000_000
-
-
-def _check_items(items, capacity):
-    norm = []
-    for cost, profit in items:
-        cost = as_rational(cost)
-        profit = as_rational(profit)
-        if cost < 0 or profit < 0:
-            raise ValueError("item costs and profits must be nonnegative")
-        norm.append((cost, profit))
-    capacity = as_rational(capacity)
-    if capacity < 0:
-        raise ValueError("capacity must be nonnegative")
-    return norm, capacity
 
 
 def _bound_table(order, costs, profits, start):
@@ -200,25 +188,25 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def _usable(items, capacity):
-    """(index, cost, profit) of each item that fits and has positive profit,
-    and the capacity, all validated exact rationals."""
-    norm, capacity = _check_items(items, capacity)
+def _int_items(items, capacity):
+    """(indices, costs, profits, capacity) of the usable items in ints,
+    from one pass that checks and converts each item."""
+    capacity = as_rational(capacity)
+    if capacity < 0:
+        raise ValueError("capacity must be nonnegative")
     num, den = capacity.numerator, capacity.denominator
-    usable = [
-        (i, c, p)
-        for i, (c, p) in enumerate(norm)
-        if p.numerator > 0 and c.numerator * den <= num * c.denominator
-    ]
-    return usable, capacity
-
-
-def _integral(usable, capacity):
-    """(indices, costs, profits, capacity) of (index, cost, profit) triples, in ints."""
-    indices, costs, profits = zip(*usable)
+    indices, costs, profits = [], [], []
+    for i, (cost, profit) in enumerate(items):
+        cost = as_rational(cost)
+        profit = as_rational(profit)
+        if cost < 0 or profit < 0:
+            raise ValueError("item costs and profits must be nonnegative")
+        if profit and cost.numerator * den <= num * cost.denominator:
+            indices.append(i)
+            costs.append(cost)
+            profits.append(profit)
     costs, factor = to_units(costs)
-    capacity = capacity.numerator * factor // capacity.denominator
-    return indices, costs, to_units(profits)[0], capacity
+    return indices, costs, to_units(profits)[0], num * factor // den
 
 
 def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
@@ -230,19 +218,18 @@ def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
     eps = as_rational(eps)
     if not 0 < eps.numerator < eps.denominator:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    usable, capacity = _usable(items, capacity)
-    if not usable:
+    indices, costs, profits, capacity = _int_items(items, capacity)
+    if not indices:
         return ()
-    units, _ = to_units([p for _, _, p in usable])
-    num = len(usable) * eps.denominator
-    den = eps.numerator * max(units)
+    num = len(indices) * eps.denominator
+    den = eps.numerator * max(profits)
     # the p_max item always scales to >= 1, so the sweep is never empty
-    scaled = []
-    for (i, c, _), p in zip(usable, units):
+    kept = []
+    for i, c, p in zip(indices, costs, profits):
         p_hat = p * num // den
         if p_hat > 0:
-            scaled.append((i, c, p_hat))
-    return _sweep(*_integral(scaled, capacity))
+            kept.append((i, c, p_hat))
+    return _sweep(*zip(*kept), capacity)
 
 
 def knapsack_exact(items, capacity) -> tuple[int, ...]:
@@ -252,11 +239,8 @@ def knapsack_exact(items, capacity) -> tuple[int, ...]:
     when the capacity, in the integer units the costs are scaled to, is
     small enough to bound the frontier; otherwise CapacityError.
     """
-    usable, capacity = _usable(items, capacity)
-    if not usable:
-        return ()
-    indices, costs, profits, capacity = _integral(usable, capacity)
-    if len(usable) > _EXACT_MAX_ITEMS and capacity > _INT_CAPACITY_GUARD:
+    indices, costs, profits, capacity = _int_items(items, capacity)
+    if len(indices) > _EXACT_MAX_ITEMS and capacity > _INT_CAPACITY_GUARD:
         raise CapacityError(
             f"exact knapsack limited to {_EXACT_MAX_ITEMS} items "
             f"(or a capacity of at most {_INT_CAPACITY_GUARD} cost units)"

@@ -12,7 +12,11 @@ ENV_MAX_N = "QKP_ORACLE_MAX_N"
 def _max_n(override):
     if override is not None:
         return override
-    return int(os.environ.get(ENV_MAX_N, DEFAULT_MAX_N))
+    text = os.environ.get(ENV_MAX_N, str(DEFAULT_MAX_N))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{ENV_MAX_N} must be an integer, got {text!r}") from None
 
 
 def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:

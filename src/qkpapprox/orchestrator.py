@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Union
 
 from .classsolvers import (
     ClassOutcome,
@@ -34,24 +34,19 @@ from .rational import Rational, as_rational, ceil_log2, rational_to_json
 class SolveConfig:
     """Tunables for one solve run.
 
-    knapsack_eps and alpha_override pass through as_rational, so a "p/q"
-    string is accepted and a float raises TypeError.
+    knapsack_eps passes through as_rational, so a "p/q" string is accepted
+    and a float raises TypeError.  Class 5's alpha is the backend's
+    declared_alpha: pass a DksBackend to set it.
     """
 
     dks_backend: Union[str, DksBackend] = "greedy"
     knapsack_eps: Rational = DEFAULT_KNAPSACK_EPS
-    alpha_override: Optional[Rational] = None
 
     def __post_init__(self):
         eps = as_rational(self.knapsack_eps)
         if not 0 < eps < 1:
             raise ValueError(f"knapsack_eps must be in (0,1), got {eps}")
         object.__setattr__(self, "knapsack_eps", eps)
-        if self.alpha_override is not None:
-            alpha = as_rational(self.alpha_override)
-            if not 0 <= alpha < 1:
-                raise ValueError(f"alpha_override must be in [0,1), got {alpha}")
-            object.__setattr__(self, "alpha_override", alpha)
 
     def backend(self) -> DksBackend:
         if isinstance(self.dks_backend, DksBackend):
@@ -150,7 +145,7 @@ def _solve_sub(sub, reduced, backend, cfg):
         return solve_class3(sub, backend)
     if sub.class_tag == 4:
         return solve_class4(sub, eps=cfg.knapsack_eps)
-    return solve_class5(sub, backend, alpha=cfg.alpha_override, eps=cfg.knapsack_eps)
+    return solve_class5(sub, backend, eps=cfg.knapsack_eps)
 
 
 def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, RunReport]:

@@ -363,6 +363,22 @@ def reference_feasible_b_subsets(part_b, scaled_cost, budget, max_size, cap):
     return out, capped
 
 
+def bucketed_instance(rng: random.Random) -> QkpInstance:
+    """One instance of the bucketed-exact benchmark's draw: costs from three
+    dyadic buckets and a tail of costs <= 8, each pair an edge with
+    probability 1/2 and a power-of-two profit, limit 6400."""
+    groups = ((20, 513, 1024), (32, 257, 512), (44, 129, 256), (24, 1, 8))
+    costs = [rng.randint(lo, hi) for count, lo, hi in groups for _ in range(count)]
+    n = len(costs)
+    edges = [
+        (u, v, rng.choice((1, 2, 4, 8, 16)))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.5
+    ]
+    return QkpInstance(n=n, cost=tuple(costs), vprofit=(0,) * n, edges=tuple(edges), limit=6400)
+
+
 def rational_cost_instance(seed: int) -> QkpInstance:
     """Seeded instance with rational costs and limit: denominators 2, 3, 7
     and 21, costs on powers of two and below 1, and Fraction edge profits."""

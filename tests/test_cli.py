@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import bucketed_instance
 from qkpapprox.cli import main
 from qkpapprox.generate import random_instance
 from qkpapprox.instance import QkpInstance, dumps_canonical, instance_to_json_obj, save_instance
@@ -72,6 +74,38 @@ def test_dump_and_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256
 
 
+# sha256 of the timing-free `qkp solve --dks exact --report` on
+# bucketed_instance(random.Random(1)), with --alpha 1/2 and without (the
+# exact backend's alpha 0): 1/2 moves the five case-2 class-5 records to
+# case 1.  Both values were computed before --alpha went through DksBackend.
+PINNED_ALPHA_HALF_SHA256 = "fbad76b61887696b72d61aa02f9d5ea858e8cf58ca3404a4314df6bf5a2157d3"
+PINNED_ALPHA_EXACT_SHA256 = "f9989106df8aea25f1bee201b092c203347bc6e599976290daf64993f2277c6c"
+
+
+def test_solve_alpha_flag_chooses_class5_case(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    save_instance(bucketed_instance(random.Random(1)), str(inst_path))
+    solve_args = [
+        "solve", "--input", str(inst_path), "--output", str(tmp_path / "s.json"),
+        "--dks", "exact", "--report", str(tmp_path / "report.json"),
+    ]
+
+    def report(*extra):
+        assert main(solve_args + list(extra)) == 0
+        obj = json.loads((tmp_path / "report.json").read_text())
+        del obj["wall_ms"]
+        cases = [r["case"] for r in obj["records"] if r["class"] == 5]
+        return hashlib.sha256(dumps_canonical(obj).encode()).hexdigest(), cases
+
+    digest, cases = report("--alpha", "1/2")
+    assert digest == PINNED_ALPHA_HALF_SHA256
+    assert "case1" in cases and "case2" not in cases
+    digest, cases = report()
+    assert digest == PINNED_ALPHA_EXACT_SHA256
+    assert cases.count("case2") == 5
+    assert main(solve_args + ["--alpha", "2"]) == 2
+
+
 def test_solve_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -84,6 +118,13 @@ def test_solve_invalid_instance(tmp_path):
         "n": 2, "limit": 4, "costs": [1, -1], "vertex_profits": [0, 0], "edges": [],
     }))
     assert main(["solve", "--input", str(bad)]) == 2
+
+
+def test_solve_rejects_non_integer_vertex_count(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2.5, "limit": 4, "costs": [1, 1], "vertex_profits": [0, 0], "edges": []}')
+    assert main(["solve", "--input", str(bad)]) == 2
+    assert "expected an integer" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_two(tmp_path):
@@ -112,6 +153,17 @@ def test_generate_density_extremes(tmp_path):
 def test_generate_bad_parameters(tmp_path):
     assert main(["generate", "--n", "-3", "--density", "0.5"]) == 2
     assert main(["generate", "--n", "3", "--density", "1.5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [["--density", "2"], ["--max-cost", "0"], ["--limit-frac", "-1"]]
+)
+def test_generator_flag_errors_match_in_generate_and_bench(flags, capsys):
+    assert main(["generate", "--n", "5", "--density", "0.5"] + flags) == 2
+    generate_err = capsys.readouterr().err
+    assert main(["bench", "--trials", "1", "--n-range", "5"] + flags) == 2
+    assert capsys.readouterr().err == generate_err
+    assert generate_err.startswith("error: ")
 
 
 def test_round_trip_generate_solve_verify(tmp_path):
@@ -151,6 +203,25 @@ def test_verify_rejects_tampered_profit(tmp_path, capsys):
     assert "claimed 99" in out
 
 
+# the solution of `qkp generate --n 6 --density 0.6 --seed 3` is [0, 1, 4]
+@pytest.mark.parametrize(
+    "vertices", [[Fraction(1, 2), 1, 4], [0, True, 4], ["0", "1", "4"], [0, 1, 4, 0]]
+)
+def test_verify_rejects_malformed_vertex_ids(tmp_path, capsys, vertices):
+    inst_path = tmp_path / "inst.json"
+    sol_path = tmp_path / "sol.json"
+    main(["generate", "--n", "6", "--density", "0.6", "--seed", "3", "--output", str(inst_path)])
+    main(["solve", "--input", str(inst_path), "--output", str(sol_path)])
+    obj = json.loads(sol_path.read_text())
+    assert obj["vertices"] == [0, 1, 4]
+    verify = ["verify", "--input", str(inst_path), "--solution", str(sol_path)]
+    assert main(verify) == 0
+    text = json.dumps(dict(obj, vertices=vertices), default=float)
+    sol_path.write_text(text)
+    assert main(verify) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_bench_zero_trials(tmp_path, capsys):
     assert main(["bench", "--trials", "0", "--n-range", "4:6"]) == 0
     out = capsys.readouterr().out
@@ -176,6 +247,12 @@ def test_bench_skips_oversized_oracle(tmp_path, capsys, monkeypatch):
     assert code == 0
     out = capsys.readouterr().out
     assert "skipped" in out
+
+
+def test_bench_rejects_non_integer_oracle_guard(monkeypatch, capsys):
+    monkeypatch.setenv("QKP_ORACLE_MAX_N", "abc")
+    assert main(["bench", "--trials", "1", "--n-range", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: QKP_ORACLE_MAX_N")
 
 
 def test_bench_deterministic_output(tmp_path, capsys):

@@ -181,6 +181,20 @@ def test_json_decimal_literals_parse_exactly():
     assert inst.limit == Fraction(1, 10)
 
 
+@pytest.mark.parametrize(
+    "n, endpoint",
+    [("6.5", "0"), ("true", "0"), ('"6"', "0"), ("6.0", "0"),
+     ("6", "0.5"), ("6", "true"), ("6", '"0"')],
+)
+def test_json_rejects_non_integer_n_and_endpoints(n, endpoint):
+    text = (
+        f'{{"n": {n}, "limit": 3, "costs": [1, 1, 1, 1, 1, 1],'
+        f' "vertex_profits": [0, 0, 0, 0, 0, 0], "edges": [[{endpoint}, 1, 2]]}}'
+    )
+    with pytest.raises(ValueError, match="expected an integer"):
+        instance_from_json_obj(json.loads(text, parse_float=Fraction))
+
+
 def test_adjacency_degree():
     inst = triangle()
     assert [instance_degree(inst, v) for v in range(3)] == [2, 2, 2]

@@ -64,6 +64,17 @@ def test_fptas_rejects_negative_values():
         knapsack_fptas([(1, 1)], -1, Fraction(1, 2))
 
 
+def test_fptas_cost_denominator_on_a_dropped_item():
+    # item 1 has the only non-unit cost denominator, and its profit scales
+    # to p_hat = 0; the cost factor still counts it, the sweep never sees it
+    items = [(3, 100), (Fraction(1, 2), 1), (2, 50), (4, 70)]
+    eps = Fraction(1, 4)
+    for capacity in (5, Fraction(11, 2), Fraction(20, 3), 9):
+        picked = knapsack_fptas(items, capacity, eps)
+        assert 1 not in picked
+        assert picked == reference_knapsack_fptas(items, capacity, eps)
+
+
 def test_exact_small_case():
     items = [(2, 3), (3, 4), (4, 5)]
     chosen = knapsack_exact(items, 5)

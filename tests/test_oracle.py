@@ -65,3 +65,10 @@ def test_env_override(monkeypatch):
         exact_qkp(inst)
     monkeypatch.setenv("QKP_ORACLE_MAX_N", "24")
     assert exact_qkp(inst).total_profit == 3
+
+
+def test_env_override_must_be_an_integer(monkeypatch):
+    inst = QkpInstance(n=2, cost=(1, 1), vprofit=(1, 1), edges=(), limit=1)
+    monkeypatch.setenv("QKP_ORACLE_MAX_N", "abc")
+    with pytest.raises(ValueError, match="QKP_ORACLE_MAX_N"):
+        exact_qkp(inst)

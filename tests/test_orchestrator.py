@@ -16,6 +16,7 @@ from helpers import (
     reference_solve,
 )
 from qkpapprox import orchestrator, random_instance
+from qkpapprox.dks import DksBackend, dks_exact, dks_greedy_peel
 from qkpapprox.instance import QkpInstance, evaluate
 from qkpapprox.orchestrator import (
     RunReport,
@@ -76,17 +77,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(knapsack_eps=Fraction(3, 2))
     with pytest.raises(ValueError):
-        SolveConfig(alpha_override=2)
+        DksBackend("exact", 2, dks_exact)
 
 
 def test_config_normalises_eps_and_alpha():
     # floats are refused when the config is built, not inside a solver
     with pytest.raises(TypeError):
-        SolveConfig(alpha_override=0.5)
+        SolveConfig(dks_backend=DksBackend("greedy", 0.5, dks_greedy_peel))
     with pytest.raises(TypeError):
         SolveConfig(knapsack_eps=0.25)
-    cfg = SolveConfig(alpha_override="1/2")
-    assert cfg.alpha_override == Fraction(1, 2)
+    backend = DksBackend("greedy", "1/2", dks_greedy_peel)
+    assert backend.declared_alpha == Fraction(1, 2)
+    cfg = SolveConfig(dks_backend=backend)
     # reaches class 5, the one reader of alpha
     inst = random_instance(30, 0.4, 1000, 20, "1/3", seed=1)
     _, report = solve(inst, cfg)
