@@ -18,13 +18,20 @@ P_max)) for eps = r/q; items with p_hat = 0 are dropped after it, and
 their cost denominators, left in the cost factor, change no comparison.
 The sweep then runs on flat int lists.
 
-The sweep prunes by an upper bound (Martello, Pisinger & Toth 1999).  It
-keeps a feasible profit lb and drops every state whose profit plus the
-floored Dantzig (fractional knapsack) bound of the items still to come,
-in the capacity it has left, is below lb.  The bound table is built only
-on frontiers longer than the item list, so small calls skip it.  The
-chosen subset is the one the unpruned sweep picks; _sweep gives the
-argument.
+Before the sweep, items are fixed by an upper bound (Ingargiola & Korsh
+1973; Martello & Toth 1990, section 2.7).  When every item fits, all of
+them are the answer and nothing else runs.  Otherwise lb is a feasible
+profit, a greedy fill in profit/cost order.  An item is fixed out when
+the floored Dantzig (fractional knapsack) bound of the sets holding it
+is below lb, and fixed in when that of the sets without it is.  The
+sweep then runs on the free items alone, in the capacity the fixed-in
+items leave, and they are added back.  The sweep prunes by the same
+bound (Martello, Pisinger & Toth 1999): it drops every state whose
+profit plus the bound of the items still to come, in the capacity it has
+left, is below lb.  That table is built only on frontiers longer than the
+free item list, so small calls skip it.  Both cuts are strict, so the
+chosen subset is the one the plain sweep over all items picks; _sweep
+gives the argument.
 """
 
 from array import array
@@ -79,24 +86,81 @@ def _ratio_order(costs, profits, capacity):
     )
 
 
+def _fix(order, costs, profits, capacity, lb):
+    """(fixed_in, free): item positions in ascending order.
+
+    Every set of profit >= lb holds each fixed-in item and none of the
+    items in neither list (fixed out).  U(r) is the floored Dantzig bound
+    of all items in capacity r, U_t(r) the same bound without item t.
+    When the items ahead of t in the order cost at most r, the LP in
+    capacity r + c_t takes them and t whole and then goes on as the LP
+    without t, so U_t(r) = U(r + c_t) - p_t; otherwise t lies past r's
+    break item and U_t(r) = U(r).  t is fixed out when p_t + U_t(C - c_t)
+    < lb and fixed in when U_t(C) < lb: one bisect each.  Both tests are
+    strict, so the greedy set, of profit lb, holds every fixed-in item and
+    no fixed-out one, and no item is both.
+    """
+    pc, pp, bc, bp = _bound_table(order, costs, profits, 0)
+    ahead = [0] * len(costs)
+    for k, t in enumerate(order):
+        ahead[t] = pc[k]
+    fixed_in, free = [], []
+    for t, (cost, profit) in enumerate(zip(costs, profits)):
+        # when the items ahead of t fit in C - c_t, p_t + U_t(C - c_t) =
+        # U(C) >= lb, and when they do not fit in C, U_t(C) = U(C) >= lb:
+        # only the other case of each test can fix t
+        if ahead[t] + cost > capacity:
+            r = capacity - cost
+            k = bisect_right(pc, r) - 1
+            if profit + pp[k] + (r - pc[k]) * bp[k] // bc[k] < lb:
+                continue
+        if ahead[t] <= capacity:
+            r = capacity + cost
+            k = bisect_right(pc, r) - 1
+            if pp[k] + (r - pc[k]) * bp[k] // bc[k] - profit < lb:
+                fixed_in.append(t)
+                continue
+        free.append(t)
+    return fixed_in, free
+
+
 def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     """Pareto sweep over int (cost, profit) states; returns the best subset.
 
-    Every cost must be at most the int capacity.  The frontier is held in
-    parallel lists sorted by strictly increasing cost and profit; states
-    of equal value keep the variant that excludes the newer item.  State
-    id s was added by item added_by[t] for the last t with
-    first_id[t] <= s, and parent[s] is the state it extended (id 0 is the
-    empty set).
+    Every cost must be at most the int capacity and every profit positive.
+    The frontier is held in parallel lists sorted by strictly increasing
+    cost and profit; states of equal value keep the variant that excludes
+    the newer item.  State id s was added by item added_by[t] for the last
+    t with first_id[t] <= s, and parent[s] is the state it extended (id 0
+    is the empty set).
 
-    Bound and prune.  lb is a feasible profit: a greedy fill in exact
-    profit/cost order, raised before each item to the frontier's largest
-    profit.  Before item j is merged, a state s = (c, p) is dropped when
-    B_j(s) = p + U_j(capacity - c) < lb, where U_j(r) is the floor of the
-    Dantzig bound of items j.. in capacity r.  Laziness: a step builds
-    its bound table (O(m) for m items) only when the frontier is longer
-    than m, and the ratio sort and the greedy fill run the first time
-    that happens, so small calls pay nothing.
+    The subset it returns.  The final frontier's last state has the
+    largest profit p* and, among those, the least cost c*.  By the tie
+    rule, a state of value v after item j excludes j exactly when the
+    items before j reach v; so, by induction over the items, it is the
+    colex-least subset of value v: read from the last item down, it
+    leaves out every item it can.  The answer is the colex-least subset
+    of value (c*, p*).
+
+    Fixing (_fix).  When every item fits the answer is all of them.
+    Otherwise lb is a feasible profit, a greedy fill in exact profit/cost
+    order, and _fix splits off the items F that every set of profit >= lb
+    holds and the items that none holds.  Every subset of value (c*, p*)
+    has profit p* >= lb, so it is F plus a set T of free items; the free
+    items in capacity C - cost(F) have greatest profit p* - profit(F),
+    least cost for it c* - cost(F), and exactly these T as their subsets
+    of that value.  Adding F to each T leaves the colex order unchanged,
+    so the sweep over the free items alone, in index order and with F put
+    back, returns the same subset.  The greedy set holds F and no
+    fixed-out item, so lb - profit(F) is a feasible profit of the free
+    items, and the pruning below starts from it.
+
+    Bound and prune.  Before free item j is merged, a state s = (c, p) is
+    dropped when B_j(s) = p + U_j(capacity - c) < lb, where U_j(r) is the
+    floor of the Dantzig bound of items j.. in capacity r and lb, raised
+    before each item to the frontier's largest profit, is feasible.  A
+    step builds its bound table (O(m) for m free items) only when the
+    frontier is longer than m, from the ratio order built for fixing.
 
     The pruned sweep recovers the same subset as the unpruned one.
     - B_j is monotone: a state with cost <= c and profit >= p has
@@ -114,21 +178,34 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     equal to its profit, the optimum, which is at least lb; so it and
     every ancestor are kept, and it is still the best final state.
     """
+    if sum(costs) <= capacity:
+        return tuple(indices)
+    order = _ratio_order(costs, profits, capacity)
+    room = capacity
+    lb = 0
+    for t in order:
+        if costs[t] <= room:
+            room -= costs[t]
+            lb += profits[t]
+    fixed_in, free = _fix(order, costs, profits, capacity, lb)
+    chosen = [indices[t] for t in fixed_in]
+    capacity -= sum(costs[t] for t in fixed_in)
+    lb -= sum(profits[t] for t in fixed_in)
+    # the ratio order of the free items, renumbered to their positions
+    rank = [-1] * len(costs)
+    for k, t in enumerate(free):
+        rank[t] = k
+    order = [rank[t] for t in order if rank[t] >= 0]
+    indices = [indices[t] for t in free]
+    costs = [costs[t] for t in free]
+    profits = [profits[t] for t in free]
+
     f_cost, f_profit, f_id = [0], [0], [0]
     parent = array("q", [-1])
     first_id, added_by = [], []
     m = len(costs)
-    order = None
     for pos, (idx, cost, profit) in enumerate(zip(indices, costs, profits)):
         if len(f_cost) > m:
-            if order is None:
-                order = _ratio_order(costs, profits, capacity)
-                room = capacity
-                lb = 0
-                for t in order:
-                    if costs[t] <= room:
-                        room -= costs[t]
-                        lb += profits[t]
             lb = max(lb, f_profit[-1])
             pc, pp, bc, bp = _bound_table(order, costs, profits, pos)
             # states with p >= lb always survive, and profits increase
@@ -180,7 +257,6 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
         m_id += f_id[i:]
         f_cost, f_profit, f_id = m_cost, m_profit, m_id
 
-    chosen = []
     state = f_id[-1]
     while state:
         chosen.append(added_by[bisect_right(first_id, state) - 1])

@@ -22,10 +22,13 @@ def _max_n(override):
 def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     """Optimal feasible vertex set by branch and bound.
 
-    Vertices are decided in id order, include branch first; the bound adds
-    all still-reachable vertex and edge profits, so pruning never cuts an
-    optimal branch.  Raises CapacityError when n exceeds the size guard
-    (default 22, overridable via the QKP_ORACLE_MAX_N env var).
+    Vertices are decided in id order, include branch first.  At depth i the
+    bound adds to the profit so far the vertex profits of i..n-1, the
+    profits of edges with both ends >= i and those of edges from a chosen
+    vertex to one >= i; every other edge has an excluded end or is already
+    counted.  The bound is valid, so pruning at bound <= best keeps the
+    first optimum in DFS order.  Raises CapacityError when n exceeds the
+    size guard (default 22, overridable via the QKP_ORACLE_MAX_N env var).
     """
     guard = _max_n(max_n)
     if inst.n > guard:
@@ -33,15 +36,12 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
 
     n = inst.n
     adj = inst.adjacency()
-    # suffix_vp[i]: vertex profits of i..n-1; suffix_ep[i]: profits of edges
-    # whose higher endpoint is >= i (everything still collectible at depth i)
-    suffix_vp = [0] * (n + 1)
-    suffix_ep = [0] * (n + 1)
+    # forward[i]: profits of edges from i to higher vertices; suffix[i]:
+    # vertex profits of i..n-1 plus the profits of edges with both ends >= i
+    forward = [sum(p for u, p in adj[i] if u > i) for i in range(n)]
+    suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_vp[i] = suffix_vp[i + 1] + inst.vprofit[i]
-        suffix_ep[i] = suffix_ep[i + 1] + sum(
-            p for u, v, p in inst.edges if max(u, v) == i
-        )
+        suffix[i] = suffix[i + 1] + inst.vprofit[i] + forward[i]
 
     best_profit = 0
     best_set: tuple[int, ...] = ()
@@ -49,27 +49,33 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     chosen: list[int] = []
     limit = inst.limit
 
-    def dfs(i, cost, profit):
+    def dfs(i, cost, profit, reach):
+        # reach: profits of edges from chosen vertices to vertices >= i
         nonlocal best_profit, best_set
         if profit > best_profit:
             best_profit = profit
             best_set = tuple(chosen)
         if i == n:
             return
-        if profit + suffix_vp[i] + suffix_ep[i] <= best_profit:
+        if profit + suffix[i] + reach <= best_profit:
             return
+        back = 0
+        for u, p in adj[i]:
+            if included[u]:
+                back += p
         if cost + inst.cost[i] <= limit:
-            gain = inst.vprofit[i]
-            for u, p in adj[i]:
-                if included[u]:
-                    gain += p
             included[i] = True
             chosen.append(i)
-            dfs(i + 1, cost + inst.cost[i], profit + gain)
+            dfs(
+                i + 1,
+                cost + inst.cost[i],
+                profit + inst.vprofit[i] + back,
+                reach - back + forward[i],
+            )
             chosen.pop()
             included[i] = False
-        dfs(i + 1, cost, profit)
+        dfs(i + 1, cost, profit, reach - back)
 
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, 0)
     cost, profit = evaluate(inst, best_set)
     return Solution(tuple(sorted(best_set)), cost, profit)

@@ -44,6 +44,55 @@ def brute_force_opt(inst: QkpInstance):
     return best_profit, best_set
 
 
+def reference_exact_qkp(inst: QkpInstance) -> Solution:
+    """exact_qkp with its earlier, looser bound, and without the size guard.
+
+    At depth i it adds every edge whose higher endpoint is >= i, also the
+    edges to vertices already excluded, and builds those sums in O(n*m).
+    Any valid bound keeps the first optimum in DFS order, so the library's
+    tighter bound must return the same set.
+    """
+    n = inst.n
+    adj = inst.adjacency()
+    suffix_vp = [0] * (n + 1)
+    suffix_ep = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_vp[i] = suffix_vp[i + 1] + inst.vprofit[i]
+        suffix_ep[i] = suffix_ep[i + 1] + sum(
+            p for u, v, p in inst.edges if max(u, v) == i
+        )
+
+    best_profit = 0
+    best_set: tuple[int, ...] = ()
+    included = [False] * n
+    chosen: list[int] = []
+
+    def dfs(i, cost, profit):
+        nonlocal best_profit, best_set
+        if profit > best_profit:
+            best_profit = profit
+            best_set = tuple(chosen)
+        if i == n:
+            return
+        if profit + suffix_vp[i] + suffix_ep[i] <= best_profit:
+            return
+        if cost + inst.cost[i] <= inst.limit:
+            gain = inst.vprofit[i]
+            for u, p in adj[i]:
+                if included[u]:
+                    gain += p
+            included[i] = True
+            chosen.append(i)
+            dfs(i + 1, cost + inst.cost[i], profit + gain)
+            chosen.pop()
+            included[i] = False
+        dfs(i + 1, cost, profit)
+
+    dfs(0, 0, 0)
+    cost, profit = evaluate(inst, best_set)
+    return Solution(tuple(sorted(best_set)), cost, profit)
+
+
 def brute_force_dks(n: int, edges, k: int):
     """Max induced edge count over all k-subsets, by raw enumeration."""
     k = min(k, n)

@@ -207,6 +207,66 @@ def _bound_spy():
     return mock.patch.object(knapsack, "_bound_table", wraps=knapsack._bound_table)
 
 
+def _pruned(spy):
+    """Whether the sweep built a pruning table: fixing builds the one from
+    item 0, pruning only starts past the first item."""
+    return any(call.args[3] > 0 for call in spy.call_args_list)
+
+
+class _FixSpy:
+    """Wraps knapsack._fix and counts the items each call fixed in and out."""
+
+    def __init__(self):
+        self.fix = knapsack._fix
+        self.fixed_in = self.fixed_out = 0
+
+    def __call__(self, order, costs, profits, capacity, lb):
+        fixed_in, free = self.fix(order, costs, profits, capacity, lb)
+        self.fixed_in += len(fixed_in)
+        self.fixed_out += len(costs) - len(fixed_in) - len(free)
+        return fixed_in, free
+
+
+# tied ratios (multiples of a few base items), zero costs, and capacities
+# of 0, exactly one item's cost, and at least the total cost
+_ratio_items = st.builds(
+    lambda base, k: (base[0] * k, base[1] * k),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 3), (0, 1), (0, 0), (3, 0)]),
+    st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(5, 3)]),
+)
+
+
+@st.composite
+def _fixing_knapsacks(draw):
+    items = draw(
+        st.one_of(
+            st.lists(_ratio_items, min_size=1, max_size=30),
+            st.lists(st.tuples(_costs, _profits), min_size=1, max_size=30),
+        )
+    )
+    costs = [c for c, _ in items]
+    total_cost = sum(costs)
+    capacity = draw(
+        st.one_of(
+            st.sampled_from(
+                [0, total_cost, total_cost + 1, Fraction(total_cost, 2), total_cost // 3]
+            ),
+            st.sampled_from(costs),
+        )
+    )
+    return items, capacity
+
+
+@settings(max_examples=300)
+@given(knap=_fixing_knapsacks(), eps=_eps)
+def test_fixed_items_keep_the_reference_subset(knap, eps):
+    items, capacity = knap
+    assert knapsack_fptas(items, capacity, eps) == reference_knapsack_fptas(
+        items, capacity, eps
+    )
+    assert knapsack_exact(items, capacity) == reference_knapsack_exact(items, capacity)
+
+
 # long item lists, so the frontier outgrows the item count and the sweep
 # prunes: a few distinct values for heavy ties, zero costs, small profits
 _long_costs = st.one_of(
@@ -258,7 +318,7 @@ def _check_long_sweep(knap, eps):
 def test_pruned_sweep_matches_rational_reference():
     with _bound_spy() as spy:
         _check_long_sweep()
-    assert spy.called  # the pruning branch ran
+    assert _pruned(spy)  # the pruning branch ran
 
 
 def test_pruned_sweep_keeps_states_at_the_bound():
@@ -276,7 +336,7 @@ def test_pruned_sweep_keeps_states_at_the_bound():
                 assert knapsack_exact(items, capacity) == reference_knapsack_exact(
                     items, capacity
                 )
-    assert spy.called
+    assert _pruned(spy)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -287,9 +347,12 @@ def test_pruned_class1_knapsack_matches_reference(seed):
     items = list(zip(reduced.cost, reduced.vprofit))
     limit = reduced.limit
     eps = Fraction(1, 4)
-    with _bound_spy() as spy:
+    fix = _FixSpy()
+    with _bound_spy() as spy, mock.patch.object(knapsack, "_fix", fix):
         chosen = knapsack_fptas(items, limit, eps)
         exact = knapsack_exact(items, limit)
-    assert spy.called
+    assert _pruned(spy)
+    # both fixing rules fire: the sweep runs on part of the items only
+    assert fix.fixed_in and fix.fixed_out
     assert chosen == reference_knapsack_fptas(items, limit, eps)
     assert exact == reference_knapsack_exact(items, limit)

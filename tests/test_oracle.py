@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import brute_force_opt
+from helpers import brute_force_opt, reference_exact_qkp
+from qkpapprox import random_instance
 from qkpapprox.errors import CapacityError
 from qkpapprox.instance import QkpInstance
 from qkpapprox.oracle import exact_qkp
@@ -50,6 +51,25 @@ def test_matches_brute_force_enumeration():
         sol = exact_qkp(inst)
         assert sol.total_profit == expected
         assert sol.total_cost <= inst.limit
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tighter_bound_keeps_the_first_optimum(seed):
+    # the bound drops edges to excluded vertices; on instances with many
+    # tied optima (profits up to 2) and without, the set is the one the
+    # looser bound returns
+    rng = random.Random(seed)
+    for n in range(12, 17):
+        for max_profit in (2, 20):
+            inst = random_instance(
+                n,
+                rng.choice([0.2, 0.5, 0.9]),
+                rng.choice([1, 5, 20]),
+                max_profit,
+                rng.choice(["1/4", "1/2", "2/3"]),
+                seed=rng.randrange(2**32),
+            )
+            assert exact_qkp(inst) == reference_exact_qkp(inst)
 
 
 def test_size_guard():
