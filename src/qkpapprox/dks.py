@@ -13,6 +13,10 @@ edges into the chosen set plus at most min(t - 1, its degree into the
 candidates) edges among the picks, each counted at both ends.  It is
 valid, so it skips only prefixes that cannot beat the best, and it is
 never looser than assuming all C(t, 2) pairs among the picks are edges.
+When a child is pruned, the same bound over the whole rest of its frame
+is tried, and if it cannot beat the best the frame ends at once.  Every
+sibling it skips would have been pruned or could not have won, so the
+walk pushes the same frames and the budget trips at the same push.
 The greedy backend peels minimum-degree vertices and never fails.
 """
 
@@ -158,6 +162,23 @@ def _lex_first_densest(masks: list[int], k: int, budget: int) -> tuple[int, ...]
     directly; neither is bounded, since the bound would cost what scoring
     does.
 
+    The frame cut: when child v of prefix P (edges induced, t slots left)
+    is pruned, edges + CB(after v, P, t) bounds every later sibling, CB
+    being _completion_bound over the vertices after v.  If it cannot beat
+    the best, the frame ends.  Let s_u = 2 g_u + min(t - 1, c_u) be the
+    frame's scores and s'_u the child scores of a later sibling w, with
+    g_u the gain into P and a(u, w) the adjacency.  Then s'_u <= s_u +
+    a(u, w): an edge to w adds 2 to u's gain and takes w out of u's capped
+    degree.  Over the t - 1 picks the a(u, w) sum to at most
+    min(t - 1, c_w), so 2 g_w plus the t - 1 largest s' is at most s_w
+    plus the t - 1 largest s after w, at most the t largest s after v.
+    The floors keep the inequality, so the child bound
+    g_w + CB(after w, P + w, t - 1) is at most CB(after v, P, t).  The
+    sibling w = n - t, scored directly, adds no more than that child bound.
+    Every skipped sibling would thus have been pruned, or scored without a
+    strict gain, so the cut pushes exactly the frames the uncut walk does,
+    the budget trips at the same push, and the result is the same.
+
     Only the other children are pushed, each at most once.  Such a child
     holds j <= k - 2 vertices, the last below n - k + j - 1, so there are
     at most sum_{j=1}^{k-2} C(n - k - 1 + j, j) = C(n - 2, k - 2) - 1
@@ -196,17 +217,24 @@ def _lex_first_densest(masks: list[int], k: int, budget: int) -> tuple[int, ...]
             if child_edges > best_edges:
                 best_edges = child_edges
                 best = (*prefix, *range(v, n))
-        elif best_edges < 0 or (  # nothing to beat on the first descent
-            child_edges  # (1 << n) - (2 << v): the bits of v + 1..n - 1
-            + _completion_bound(masks[v + 1:], (1 << n) - (2 << v),
-                                child_mask, t - 1)
-            > best_edges
-        ):
-            pushes += 1
-            if pushes > budget:
-                raise CapacityError(f"exact DkS budget {budget} exceeded")
-            prefix.append(v)
-            frames.append([v + 1, child_mask, child_edges])
+        else:
+            later = masks[v + 1:]
+            later_bits = (1 << n) - (2 << v)  # the bits of v + 1..n - 1
+            if best_edges < 0 or (  # nothing to beat on the first descent
+                child_edges
+                + _completion_bound(later, later_bits, child_mask, t - 1)
+                > best_edges
+            ):
+                pushes += 1
+                if pushes > budget:
+                    raise CapacityError(f"exact DkS budget {budget} exceeded")
+                prefix.append(v)
+                frames.append([v + 1, child_mask, child_edges])
+            elif (
+                edges + _completion_bound(later, later_bits, mask, t)
+                <= best_edges
+            ):
+                frame[0] = n  # no later sibling can beat the best: pop
     return best
 
 

@@ -11,7 +11,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from qkpapprox import orchestrator
+from qkpapprox import dks, orchestrator
 from qkpapprox.classsolvers import ReplicatedGraph
 from qkpapprox.decompose import SubInstance, decompose
 from qkpapprox.dks import UGraph
@@ -127,6 +127,54 @@ def reference_dks_enum(n: int, edges, k: int) -> tuple[int, ...]:
             best_edges = count
             best = combo
     return best
+
+
+def reference_lex_pushes(masks: list[int], k: int) -> int:
+    """Frames dks._lex_first_densest pushes on (masks, k), 1 <= k < n,
+    counted by its walk without the frame cut: each child is bounded on
+    its own, and every later sibling of a pruned child is still tried.
+
+    The cut only skips siblings this walk prunes, so both push the same
+    frames; dks._completion_bound is looked up at call time, so a spy on
+    it counts this walk's calls too.
+    """
+    if k == 1:
+        return 0
+    n = len(masks)
+    best_edges = -1
+    depth = 0
+    frames = [[0, 0, 0]]  # per depth: next vertex, prefix mask, prefix edges
+    pushes = 0
+    while frames:
+        frame = frames[-1]
+        v, mask, edges = frame
+        t = k - depth
+        if v > n - t:
+            frames.pop()
+            depth -= 1
+            continue
+        frame[0] = v + 1
+        child_mask = mask | (1 << v)
+        child_edges = edges + (masks[v] & mask).bit_count()
+        if t == 2:
+            for u in range(v + 1, n):
+                e = child_edges + (masks[u] & child_mask).bit_count()
+                best_edges = max(best_edges, e)
+        elif v == n - t:
+            for u in range(v + 1, n):
+                child_edges += (masks[u] & child_mask).bit_count()
+                child_mask |= 1 << u
+            best_edges = max(best_edges, child_edges)
+        elif best_edges < 0 or (
+            child_edges
+            + dks._completion_bound(masks[v + 1:], (1 << n) - (2 << v),
+                                    child_mask, t - 1)
+            > best_edges
+        ):
+            pushes += 1
+            depth += 1
+            frames.append([v + 1, child_mask, child_edges])
+    return pushes
 
 
 def reference_completion_bound(cand_masks, mask: int, t: int) -> int:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from helpers import (
     induced_edge_count,
     reference_completion_bound,
     reference_dks_enum,
+    reference_lex_pushes,
 )
 from qkpapprox import dks
 from qkpapprox.dks import (
@@ -22,6 +24,7 @@ from qkpapprox.dks import (
     DksBackend,
     UGraph,
     _completion_bound,
+    _neighbor_masks,
     dks_exact,
     dks_greedy_peel,
     get_backend,
@@ -275,6 +278,69 @@ def test_completion_bound_between_best_completion_and_reference(case):
     for t in range(len(cands) + 1):
         bound = _completion_bound(cand_masks, cand_bits, mask, t)
         assert best[t] <= bound <= reference_completion_bound(cand_masks, mask, t)
+
+
+@st.composite
+def frame_cut_cases(draw):
+    """(masks, prefix mask, v, t) for a frame of the exact walk on n <= 12:
+    t >= 3 slots left, a pruned child v < n - t, and a prefix drawn from
+    the vertices before v."""
+    n = draw(st.integers(4, 12))
+    density = draw(st.sampled_from([0, 0.3, 0.7, 1]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    )
+    t = draw(st.integers(3, n - 1))
+    v = draw(st.integers(0, n - t - 1))
+    mask = sum(1 << u for u in range(v) if draw(st.booleans()))
+    return _neighbor_masks(UGraph(n, edges)), mask, v, t
+
+
+@given(frame_cut_cases())
+@settings(max_examples=300, deadline=None)
+def test_frame_bound_covers_every_later_sibling(case):
+    # the lemma behind the frame cut: a later sibling w's child bound,
+    # g_w + CB(after w, P + w, t - 1), is at most CB(after v, P, t)
+    masks, mask, v, t = case
+    n = len(masks)
+    frame_bound = _completion_bound(masks[v + 1:], (1 << n) - (2 << v), mask, t)
+    for w in range(v + 1, n - t + 1):
+        gain = (masks[w] & mask).bit_count()
+        child = _completion_bound(
+            masks[w + 1:], (1 << n) - (2 << w), mask | (1 << w), t - 1
+        )
+        assert gain + child <= frame_bound
+
+
+def test_frame_cut_keeps_every_push(monkeypatch):
+    # the cut skips only siblings the uncut walk would prune, so the walk
+    # pushes exactly the uncut walk's frames: that count completes, one
+    # fewer trips the budget
+    spy = mock.Mock(wraps=_completion_bound)
+    monkeypatch.setattr(dks, "_completion_bound", spy)
+    rng = random.Random(14)
+    cut = 0
+    for n in (5, 9, 13, 16, 18):
+        for density in (0, 0.5, 1):
+            edges = tuple(
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if rng.random() < density
+            )
+            g = UGraph(n, edges)
+            masks = _neighbor_masks(g)
+            for k in range(n + 1):
+                expected = reference_dks_enum(n, g.edges, k)
+                spy.reset_mock()
+                pushes = reference_lex_pushes(masks, k) if 1 <= k < n else 0
+                uncut_calls = spy.call_count
+                spy.reset_mock()
+                assert dks_exact(g, k, budget=pushes) == expected
+                cut += spy.call_count < uncut_calls
+                if pushes:
+                    with pytest.raises(CapacityError):
+                        dks_exact(g, k, budget=pushes - 1)
+    assert cut  # the frame cut fired, with fewer bound calls
 
 
 @given(

@@ -6,7 +6,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_knapsack_exact, reference_knapsack_fptas
@@ -305,7 +305,9 @@ def _long_knapsacks(draw):
     return items, capacity
 
 
-@settings(max_examples=60)
+# no shrink phase: shrinking 20-60-item failures against the rational
+# reference sweep takes minutes, and the unshrunk example already fails
+@settings(max_examples=60, phases=[p for p in Phase if p is not Phase.shrink])
 @given(knap=_long_knapsacks(), eps=_eps)
 def _check_long_sweep(knap, eps):
     items, capacity = knap
