@@ -4,6 +4,7 @@ import os
 
 from .errors import CapacityError
 from .instance import QkpInstance, Solution, evaluate
+from .rational import to_units
 
 DEFAULT_MAX_N = 22
 ENV_MAX_N = "QKP_ORACLE_MAX_N"
@@ -22,60 +23,125 @@ def _max_n(override):
 def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     """Optimal feasible vertex set by branch and bound.
 
-    Vertices are decided in id order, include branch first.  At depth i the
-    bound adds to the profit so far the vertex profits of i..n-1, the
-    profits of edges with both ends >= i and those of edges from a chosen
-    vertex to one >= i; every other edge has an excluded end or is already
-    counted.  The bound is valid, so pruning at bound <= best keeps the
-    first optimum in DFS order.  Raises CapacityError when n exceeds the
-    size guard (default 22, overridable via the QKP_ORACLE_MAX_N env var).
+    Vertices are decided in id order, include branch first, by a
+    depth-first walk on an explicit stack, so n is bounded by the guard
+    alone, not by the interpreter's recursion limit.  Costs and the limit
+    are scaled to ints by one factor, vertex and edge profits by another.
+
+    At depth i, with profit so far P and residual capacity R, two bounds
+    on the best completion are tried in turn:
+
+    - P plus the vertex profits of i..n-1, the profits of edges with both
+      ends >= i and those of edges from a chosen vertex to one >= i; every
+      other edge has an excluded end or is already counted.
+    - The upper planes (Gallo, Hammer & Simeone 1980): vertex j >= i is
+      worth w_j = 2 (p_j + back_j) + rem_j, with back_j its edge profit
+      to the chosen vertices and rem_j its edge profit to the vertices
+      >= i.  A set T of vertices >= i that fits R adds to P the sum over T
+      of p_j + back_j and T's induced edge profits; each induced edge is
+      counted in rem_j at both its ends, so T adds at most half the sum of
+      w_j over T.  Only vertices that fit R can be in T, and the Dantzig LP
+      bound of the knapsack on their w_j, filled in exact ratio order with
+      the break item's fraction rounded up, bounds that sum.  Profits are
+      ints, so P plus the LP bound halved and floored bounds the completion.
+
+    A node is pruned when a bound is <= the best profit found.  Both bounds
+    are valid, and every profit found before the first optimum in DFS
+    order is below the optimum, so no node on that optimum's path is
+    pruned: the walk returns it, the same set as under any other valid
+    bound.  Raises CapacityError when n exceeds the size guard (default 22,
+    overridable via the QKP_ORACLE_MAX_N env var).
     """
     guard = _max_n(max_n)
     if inst.n > guard:
         raise CapacityError(f"oracle limited to n <= {guard}, got n = {inst.n}")
 
     n = inst.n
-    adj = inst.adjacency()
+    cost, _ = to_units([*inst.cost, inst.limit])
+    limit = cost.pop()
+    units, _ = to_units([*inst.vprofit, *(p for _, _, p in inst.edges)])
+    vprofit = units[:n]
+    # later[i]: (neighbour, edge profit) for the neighbours of i above i
+    later = [[] for _ in range(n)]
+    for (u, v, _), p in zip(inst.edges, units[n:]):
+        if 0 <= u < v < n:
+            later[u].append((v, p))
     # forward[i]: profits of edges from i to higher vertices; suffix[i]:
     # vertex profits of i..n-1 plus the profits of edges with both ends >= i
-    forward = [sum(p for u, p in adj[i] if u > i) for i in range(n)]
+    forward = [sum(p for _, p in nbrs) for nbrs in later]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + inst.vprofit[i] + forward[i]
+        suffix[i] = suffix[i + 1] + vprofit[i] + forward[i]
+    # at depth i, for each j >= i: back[j] its edge profit to the chosen
+    # vertices, rem[j] its edge profit to the vertices >= i
+    back = [0] * n
+    rem = [0] * n
+    for u, nbrs in enumerate(later):
+        for v, p in nbrs:
+            rem[u] += p
+            rem[v] += p
 
+    vprofit2 = [2 * p for p in vprofit]
+    # a fitting vertex costs at most the limit, so (w << shift) // c orders
+    # exactly like w / c, as in knapsack._ratio_order
+    shift = 2 * limit.bit_length()
     best_profit = 0
     best_set: tuple[int, ...] = ()
-    included = [False] * n
     chosen: list[int] = []
-    limit = inst.limit
-
-    def dfs(i, cost, profit, reach):
-        # reach: profits of edges from chosen vertices to vertices >= i
-        nonlocal best_profit, best_set
+    # nodes (i, cost, profit, reach), where reach is the profit of edges
+    # from chosen vertices to vertices >= i; an int i marks the end of
+    # vertex i's include branch, ~i the end of both its branches
+    stack: list = [(0, 0, 0, 0)]
+    while stack:
+        node = stack.pop()
+        if type(node) is int:
+            if node >= 0:
+                chosen.pop()
+                for u, p in later[node]:
+                    back[u] -= p
+            else:
+                for u, p in later[~node]:
+                    rem[u] += p
+            continue
+        i, spent, profit, reach = node
         if profit > best_profit:
             best_profit = profit
             best_set = tuple(chosen)
-        if i == n:
-            return
-        if profit + suffix[i] + reach <= best_profit:
-            return
-        back = 0
-        for u, p in adj[i]:
-            if included[u]:
-                back += p
-        if cost + inst.cost[i] <= limit:
-            included[i] = True
+        if i == n or profit + suffix[i] + reach <= best_profit:
+            continue
+        room = limit - spent
+        planes = 0
+        keyed = []
+        for j in range(i, n):
+            c = cost[j]
+            if c <= room:
+                w = vprofit2[j] + 2 * back[j] + rem[j]
+                if c:
+                    keyed.append(((w << shift) // c, c, w))
+                else:
+                    planes += w
+        keyed.sort(reverse=True)
+        for _, c, w in keyed:
+            if c > room:
+                planes -= -w * room // c
+                break
+            room -= c
+            planes += w
+        if profit + planes // 2 <= best_profit:
+            continue
+        b = back[i]
+        for u, p in later[i]:
+            rem[u] -= p
+        stack.append(~i)
+        stack.append((i + 1, spent, profit, reach - b))
+        if spent + cost[i] <= limit:
+            for u, p in later[i]:
+                back[u] += p
             chosen.append(i)
-            dfs(
-                i + 1,
-                cost + inst.cost[i],
-                profit + inst.vprofit[i] + back,
-                reach - back + forward[i],
+            stack.append(i)
+            stack.append(
+                (i + 1, spent + cost[i], profit + vprofit[i] + b, reach - b + forward[i])
             )
-            chosen.pop()
-            included[i] = False
-        dfs(i + 1, cost, profit, reach - back)
 
-    dfs(0, 0, 0, 0)
-    cost, profit = evaluate(inst, best_set)
-    return Solution(tuple(sorted(best_set)), cost, profit)
+    total_cost, total_profit = evaluate(inst, best_set)
+    return Solution(best_set, total_cost, total_profit)

@@ -1,8 +1,11 @@
 """Exact oracle behaviour and guards."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_force_opt, reference_exact_qkp
 from qkpapprox import random_instance
@@ -70,6 +73,66 @@ def test_tighter_bound_keeps_the_first_optimum(seed):
                 seed=rng.randrange(2**32),
             )
             assert exact_qkp(inst) == reference_exact_qkp(inst)
+
+
+def _rationals(max_value):
+    return st.one_of(
+        st.integers(0, max_value),
+        st.fractions(0, max_value, max_denominator=6),
+    )
+
+
+@st.composite
+def oracle_data(draw):
+    """(n, costs, vertex profits, edges): int and Fraction values, zero
+    costs and zero-profit edges, and profits from a small palette, so that
+    tied optima are common."""
+    n = draw(st.integers(0, 12))
+    palette = draw(st.lists(_rationals(9), min_size=1, max_size=5))
+    profits = st.sampled_from(palette)
+    cost = [draw(_rationals(9)) for _ in range(n)]
+    vprofit = [draw(profits) for _ in range(n)]
+    edges = tuple(
+        (u, v, draw(profits))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if draw(st.booleans())
+    )
+    return n, cost, vprofit, edges
+
+
+@given(oracle_data(), st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+def test_same_optimum_and_tuple_as_the_reference(data, brute_k):
+    # any valid bound keeps the first optimum in DFS order, so the
+    # upper-plane bound must return the reference's set, cost and profit;
+    # each draw is solved at limits from 0 to above the total cost, and
+    # enumerated at one of them
+    n, cost, vprofit, edges = data
+    total = sum(cost, Fraction(0))
+    for k in range(10):
+        inst = QkpInstance(
+            n=n, cost=cost, vprofit=vprofit, edges=edges, limit=total * k / 8
+        )
+        sol = exact_qkp(inst)
+        ref = reference_exact_qkp(inst)
+        assert sol == ref
+        assert repr(sol) == repr(ref)
+        if k == brute_k and n <= 10:
+            assert sol.total_profit == brute_force_opt(inst)[0]
+
+
+def test_long_path_needs_no_recursion():
+    # one node per vertex on the first descent: at 1,500 vertices a
+    # recursive walk passes the interpreter's recursion limit
+    n = 1500
+    inst = QkpInstance(
+        n=n, cost=(1,) * n, vprofit=(0,) * n,
+        edges=tuple((i, i + 1, 1) for i in range(n - 1)), limit=n,
+    )
+    sol = exact_qkp(inst, max_n=n)
+    assert sol.total_profit == n - 1
+    assert sol.vertices == tuple(range(n))
 
 
 def test_size_guard():
