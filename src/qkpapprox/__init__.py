@@ -35,14 +35,12 @@ from .instance import (
     evaluate,
     instance_from_json_obj,
     instance_to_json_obj,
-    is_feasible,
     load_instance,
-    save_instance,
     validate,
 )
-from .knapsack import knapsack_exact, knapsack_fptas
+from .knapsack import knapsack_fptas
 from .oracle import exact_qkp
 from .orchestrator import RunReport, SolveConfig, guaranteed_floor, solve
-from .preprocess import PreparedInstance, bucket_costs, prepare, prune, round_profits
+from .preprocess import PreparedInstance, bucket_costs, prepare
 
 __version__ = "0.1.0"

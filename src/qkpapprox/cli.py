@@ -50,14 +50,23 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _solve_one(input_path: str, output_path: str | None, args) -> int:
+def _load_valid(path: str):
+    """(instance, None), or (None, why) when the file at path does not
+    read, parse or validate."""
     try:
-        inst = load_instance(input_path)
+        inst = load_instance(path)
     except (OSError, ValueError) as exc:
-        return _fail(f"cannot read instance: {exc}", 2)
+        return None, f"cannot read instance: {exc}"
     problems = validate(inst)
     if problems:
-        return _fail("invalid instance: " + "; ".join(problems), 2)
+        return None, "invalid instance: " + "; ".join(problems)
+    return inst, None
+
+
+def _solve_one(input_path: str, output_path: str | None, args) -> int:
+    inst, error = _load_valid(input_path)
+    if error:
+        return _fail(error, 2)
     try:
         backend = get_backend(args.dks)
         if args.alpha is not None:
@@ -195,15 +204,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    inst, error = _load_valid(args.input)
+    if error:
+        return _fail(error, 2)
     try:
-        inst = load_instance(args.input)
         with open(args.solution, "r", encoding="utf-8") as fh:
             claimed = json.load(fh, parse_float=Fraction)
         vertices = list(claimed["vertices"])
         claimed_cost = rational_from_json(claimed["cost"])
         claimed_profit = rational_from_json(claimed["profit"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        return _fail(f"cannot read inputs: {exc}", 2)
+        return _fail(f"cannot read solution: {exc}", 2)
 
     try:
         cost, profit = evaluate(inst, vertices)
@@ -286,9 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except OSError as exc:  # instance and solution reads fail earlier, with their own message
+        return _fail(f"cannot write output: {exc}", 2)
 
 
 if __name__ == "__main__":

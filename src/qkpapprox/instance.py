@@ -86,21 +86,16 @@ class Solution:
         }
 
 
-def _check_ids(inst: QkpInstance, subset: Iterable[int]) -> frozenset:
-    chosen = frozenset(subset)
-    for v in chosen:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < inst.n:
-            raise ValueError(f"invalid vertex id {v!r} for instance with n={inst.n}")
-    return chosen
-
-
 def evaluate(inst: QkpInstance, subset: Iterable[int]) -> tuple[Rational, Rational]:
     """Cost and profit of the induced subgraph on `subset`.
 
     Profit is the sum of vertex profits plus profits of edges with both
     endpoints selected.  Raises ValueError on an invalid vertex id.
     """
-    chosen = _check_ids(inst, subset)
+    chosen = frozenset(subset)
+    for v in chosen:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < inst.n:
+            raise ValueError(f"invalid vertex id {v!r} for instance with n={inst.n}")
     cost = sum((inst.cost[v] for v in chosen), 0)
     profit = sum((inst.vprofit[v] for v in chosen), 0)
     adj = inst.adjacency()
@@ -109,12 +104,6 @@ def evaluate(inst: QkpInstance, subset: Iterable[int]) -> tuple[Rational, Ration
             if v > u and v in chosen:
                 profit += p
     return cost, profit
-
-
-def is_feasible(inst: QkpInstance, subset: Iterable[int]) -> bool:
-    """True iff the subset's total cost is within the instance limit."""
-    chosen = _check_ids(inst, subset)
-    return sum((inst.cost[v] for v in chosen), 0) <= inst.limit
 
 
 def validate(inst: QkpInstance) -> list[str]:
@@ -192,8 +181,3 @@ def load_instance(path: str) -> QkpInstance:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh, parse_float=Fraction)
     return instance_from_json_obj(obj)
-
-
-def save_instance(inst: QkpInstance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(instance_to_json_obj(inst)))

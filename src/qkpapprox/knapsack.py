@@ -1,9 +1,9 @@
-"""0/1 knapsack: profit-scaling FPTAS and an exact solver for tests.
+"""0/1 knapsack: the profit-scaling FPTAS.
 
-Both run the same dominance sweep: states are (cost, profit) pairs kept on
-a Pareto frontier, with parent links for subset recovery.  The FPTAS first
-rounds profits to integers via the standard p_hat = floor(p * n / (eps *
-p_max)) transformation.  Ties always prefer excluding the newest item, so
+It rounds profits to integers via the standard p_hat = floor(p * n /
+(eps * p_max)) transformation, then runs a dominance sweep: states are
+(cost, profit) pairs kept on a Pareto frontier, with parent links for
+subset recovery.  Ties always prefer excluding the newest item, so
 outputs are deterministic and lean toward low item indices.
 
 Callers pass exact rationals, and no rational arithmetic runs per item.
@@ -38,12 +38,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .errors import CapacityError
 from .rational import as_rational, to_units
 
 DEFAULT_KNAPSACK_EPS = Fraction(1, 4)  # the FPTAS eps every caller defaults to
-_EXACT_MAX_ITEMS = 25
-_INT_CAPACITY_GUARD = 1_000_000
 
 
 def _bound_table(order, costs, profits, start):
@@ -155,7 +152,7 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     fixed-out item, so lb - profit(F) is a feasible profit of the free
     items, and the pruning below starts from it.
 
-    Bound and prune.  Before free item j is merged, a state s = (c, p) is
+    Pruning by the bound.  Before free item j is merged, a state s = (c, p) is
     dropped when B_j(s) = p + U_j(capacity - c) < lb, where U_j(r) is the
     floor of the Dantzig bound of items j.. in capacity r and lb, raised
     before each item to the frontier's largest profit, is feasible.  A
@@ -307,18 +304,3 @@ def knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
             kept.append((i, c, p_hat))
     return _sweep(*zip(*kept), capacity)
 
-
-def knapsack_exact(items, capacity) -> tuple[int, ...]:
-    """Exact 0/1 knapsack by dominance sweep; returns chosen item indices.
-
-    Guarded: beyond _EXACT_MAX_ITEMS (25) usable items the sweep only runs
-    when the capacity, in the integer units the costs are scaled to, is
-    small enough to bound the frontier; otherwise CapacityError.
-    """
-    indices, costs, profits, capacity = _int_items(items, capacity)
-    if len(indices) > _EXACT_MAX_ITEMS and capacity > _INT_CAPACITY_GUARD:
-        raise CapacityError(
-            f"exact knapsack limited to {_EXACT_MAX_ITEMS} items "
-            f"(or a capacity of at most {_INT_CAPACITY_GUARD} cost units)"
-        )
-    return _sweep(indices, costs, profits, capacity)

@@ -60,9 +60,9 @@ class SubRecord:
 
     vertices is the candidate lifted to original ids, always-include
     vertices added, sorted; feasible says whether its cost fits the
-    instance's limit.  size, cost and profit are derived from vertices on
-    the original instance when read, so a candidate that cannot win is
-    never evaluated unless its record is.
+    instance's limit.  Only size is derived, as len(vertices); to_json_obj
+    evaluates cost and profit on the original instance, so a candidate
+    that cannot win is never evaluated unless its record is serialised.
     """
 
     class_tag: int  # 0 marks the singleton/edge-pair fallback scan
@@ -75,14 +75,6 @@ class SubRecord:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    @property
-    def cost(self) -> Rational:
-        return evaluate(self.instance, self.vertices)[0]
-
-    @property
-    def profit(self) -> Rational:
-        return evaluate(self.instance, self.vertices)[1]
 
     def to_json_obj(self) -> dict:
         cost, profit = evaluate(self.instance, self.vertices)

@@ -18,14 +18,6 @@ from .rational import Rational, as_rational, ceil_log2, floor_log2, pow2, to_uni
 
 
 @dataclass(frozen=True)
-class PruneResult:
-    reduced: QkpInstance
-    base_profit: Rational
-    always_include: frozenset  # original ids of folded zero-cost vertices
-    orig_of: tuple[int, ...]   # reduced id -> original id
-
-
-@dataclass(frozen=True)
 class PreparedInstance:
     """Pruned, rounded and bucketed instance plus lift-back metadata.
 
@@ -81,7 +73,14 @@ def _beats(profit, verts: tuple[int, ...], best) -> bool:
 
 
 def _walk(inst: QkpInstance, units):
-    """Prune and fold (see prune) in one pass over inst.edges.
+    """Prune and fold in one pass over inst.edges.
+
+    Vertices with cost above the limit are dropped, and so is every edge
+    whose endpoint costs together exceed it.  Zero-cost vertices are
+    folded: their vertex profit accrues to base_profit, and each
+    surviving edge profit incident to one moves onto the neighbour's
+    vertex profit (onto base_profit when both ends have cost 0).  The
+    remaining vertices are relabeled densely, in original order.
 
     units are inst's costs and then its limit, as to_units scales them.
     Returns cost, vprofit and pairs over the reduced ids, then base_profit,
@@ -124,22 +123,6 @@ def _walk(inst: QkpInstance, units):
     return cost, vprofit, pairs, base_profit, frozenset(zero), orig_of, tuple(wdeg), tuple(maxp)
 
 
-def prune(inst: QkpInstance) -> PruneResult:
-    """Drop unusable vertices/edges and fold zero-cost vertices.
-
-    Removed: vertices with cost above the limit, edges whose endpoint
-    costs together exceed the limit, and zero-profit edges.  Zero-cost
-    vertices are folded: their vertex profit accrues to base_profit and
-    each surviving incident edge profit moves onto the neighbour's vertex
-    profit.  The remaining instance is relabeled densely.
-    """
-    units, _ = to_units(inst.cost + (inst.limit,))
-    cost, vprofit, pairs, base_profit, always, orig_of, _, _ = _walk(inst, units)
-    edges = tuple(e for e in pairs if e[2])
-    reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
-    return PruneResult(reduced, base_profit, always, orig_of)
-
-
 def _fallback(vprofit, pairs, base_profit, always, orig_of):
     """PreparedInstance.fallback.  Reduced ids keep the original order, so
     among equal profits the first vertex, and the smallest pair (ru, rv),
@@ -163,9 +146,14 @@ def _fallback(vprofit, pairs, base_profit, always, orig_of):
 
 
 def _rounded_edges(n: int, edges) -> tuple[tuple, tuple[Rational, ...]]:
-    """round_profits' edges and level ladder for n vertices.  Each distinct
-    profit is rounded once, and the edges are rebuilt only when a profit
-    is dropped (0 or below the ladder) or moves."""
+    """Edges with each profit rounded down onto the level ladder
+    {2^l, ..., 2^(l-q), 0}, and the descending ladder, for n vertices.
+
+    2^l is the largest power of two at most the top edge profit and q is
+    the smallest integer above 2*log2(n).  Edges rounding to 0, zero-profit
+    edges among them, are dropped; the ladder is empty when no edge has a
+    positive profit.  Each distinct profit is rounded once, and the edges
+    are rebuilt only when a profit is dropped or moves."""
     values = set(map(itemgetter(2), edges))
     p_star = max(values, default=0)
     if p_star <= 0:
@@ -181,25 +169,13 @@ def _rounded_edges(n: int, edges) -> tuple[tuple, tuple[Rational, ...]]:
     return tuple(edges), levels
 
 
-def round_profits(inst: QkpInstance) -> tuple[QkpInstance, tuple[Rational, ...]]:
-    """Round each edge profit down onto {2^l, ..., 2^(l-q), 0}.
-
-    2^l is the largest power of two at most the top edge profit and q is
-    the smallest integer above 2*log2(n).  Edges rounding to 0 are
-    dropped; vertex profits stay untouched.  Returns the rounded instance
-    and the descending level ladder (empty when there are no edges).
-    """
-    edges, levels = _rounded_edges(inst.n, inst.edges)
-    return QkpInstance(inst.n, inst.cost, inst.vprofit, edges, inst.limit), levels
-
-
 def bucket_costs(inst: QkpInstance) -> tuple[dict[int, int], int, int]:
     """Group vertices into dyadic cost buckets V_1..V_{l+1}.
 
     2^k is the smallest power of two at least the top cost and l the
     smallest integer above log2(n); bucket i <= l holds costs in
     (2^(k-i), 2^(k+1-i)] and bucket l+1 the tail (0, 2^(k-l)].  All costs
-    must be positive (prune first).
+    must be positive (prepare prunes the zero costs first).
     """
     if inst.n == 0:
         return {}, 0, 1
@@ -219,7 +195,8 @@ def bucket_costs(inst: QkpInstance) -> tuple[dict[int, int], int, int]:
 
 
 def prepare(inst: QkpInstance) -> PreparedInstance:
-    """Full preparation pipeline: prune, round profits, bucket costs.
+    """Full preparation pipeline: pruning and folding (_walk), edge-profit
+    rounding (_rounded_edges; vertex profits stay untouched), bucketing.
 
     The reduced instance takes inst's values, already in canonical form,
     without converting them again.

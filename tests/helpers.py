@@ -11,7 +11,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from qkpapprox import dks, orchestrator
+from qkpapprox import dks, knapsack, orchestrator
 from qkpapprox.classsolvers import ReplicatedGraph
 from qkpapprox.decompose import SubInstance, decompose
 from qkpapprox.dks import UGraph
@@ -589,8 +589,14 @@ def reference_knapsack_fptas(items, capacity, eps) -> tuple[int, ...]:
     return _reference_recover(_reference_sweep(scaled, capacity)[-1])
 
 
+def exact_sweep(items, capacity) -> tuple[int, ...]:
+    """Exact 0/1 knapsack: knapsack_fptas's integer sweep on the unscaled
+    profits.  Returns the chosen item indices."""
+    return knapsack._sweep(*knapsack._int_items(items, capacity))
+
+
 def reference_knapsack_exact(items, capacity) -> tuple[int, ...]:
-    """knapsack_exact on the linked-list sweep, without the size guard."""
+    """exact_sweep on the linked-list sweep over exact rationals."""
     usable = _reference_usable(items, capacity)
     return _reference_recover(_reference_sweep(usable, capacity)[-1])
 
@@ -714,6 +720,19 @@ def reference_fallback_scan(inst: QkpInstance, always, base_profit, units, limit
         if _beats(profit, verts, scan):
             scan = (profit, verts)
     return scan
+
+
+def unrounded_reduced(inst: QkpInstance, prep: PreparedInstance) -> QkpInstance:
+    """prep.reduced with inst's edge profits in place of the rounded ones:
+    every original edge between two reduced vertices, mapped by orig_of.
+    Edges whose ends do not fit together and zero-profit edges stay; they
+    change no feasible set's profit."""
+    new_id = {v: r for r, v in enumerate(prep.orig_of)}
+    red = prep.reduced
+    edges = tuple(
+        (new_id[u], new_id[v], p) for u, v, p in inst.edges if u in new_id and v in new_id
+    )
+    return QkpInstance(red.n, red.cost, red.vprofit, edges, red.limit)
 
 
 def reference_prepare(inst: QkpInstance) -> PreparedInstance:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from helpers import (
     brute_force_dks,
     brute_force_opt,
+    exact_sweep,
     induced_edge_count,
     profit_mass,
     random_bipartite_sub,
@@ -28,10 +29,10 @@ from qkpapprox.decompose import decompose
 from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, UGraph, solve_dks
 from qkpapprox.generate import random_instance
 from qkpapprox.instance import QkpInstance
-from qkpapprox.knapsack import knapsack_exact, knapsack_fptas
+from qkpapprox.knapsack import knapsack_fptas
 from qkpapprox.oracle import exact_qkp
 from qkpapprox.orchestrator import SolveConfig, guaranteed_floor, solve
-from qkpapprox.preprocess import prepare, prune, round_profits
+from qkpapprox.preprocess import prepare
 
 
 def _passed(num, detail):
@@ -103,11 +104,11 @@ def test_criterion_3_rounding_lemma():
             limit=rng.randint(1, 40),
         )
         opt_original, _ = brute_force_opt(inst)
-        # the ladder applies to the pruned graph, where the top edge is feasible
-        pruned = prune(inst).reduced
-        rounded, _ = round_profits(pruned)
-        opt_rounded, _ = brute_force_opt(rounded)
-        assert 4 * opt_rounded >= opt_original, f"trial {trial}"
+        # the ladder applies to the pruned graph, where the top edge is
+        # feasible; prep.reduced is the instance decompose receives
+        prep = prepare(inst)
+        opt_rounded, _ = brute_force_opt(prep.reduced)
+        assert 4 * (opt_rounded + prep.base_profit) >= opt_original, f"trial {trial}"
     _passed(3, "200/200 satisfy 4*OPT(rounded) >= OPT(original), exact arithmetic")
 
 
@@ -223,7 +224,7 @@ def test_criterion_7_knapsack_fptas():
         n = rng.randint(1, 100)
         items = [(rng.randint(1, 30), rng.randint(0, 50)) for _ in range(n)]
         capacity = rng.randint(0, 15 * n)
-        opt_set = knapsack_exact(items, capacity)
+        opt_set = exact_sweep(items, capacity)
         opt = sum(items[i][1] for i in opt_set)
         for eps in eps_grid:
             chosen = knapsack_fptas(items, capacity, eps)

@@ -10,7 +10,7 @@ import pytest
 from helpers import bucketed_instance
 from qkpapprox.cli import main
 from qkpapprox.generate import random_instance
-from qkpapprox.instance import QkpInstance, dumps_canonical, instance_to_json_obj, save_instance
+from qkpapprox.instance import QkpInstance, dumps_canonical, instance_to_json_obj
 from qkpapprox.oracle import exact_qkp
 from qkpapprox.orchestrator import solve
 
@@ -20,7 +20,7 @@ def write_triangle(path, limit=2):
         n=3, cost=(1, 1, 1), vprofit=(0, 0, 0),
         edges=((0, 1, 1), (1, 2, 1), (0, 2, 1)), limit=limit,
     )
-    save_instance(inst, str(path))
+    path.write_text(dumps_canonical(instance_to_json_obj(inst)))
     return inst
 
 
@@ -62,7 +62,7 @@ PINNED_REPORT_SHA256 = "1dc067763bc2b5ebfb24b8f4fb1b723289594fb4a97f09866021bb89
 def test_dump_and_report_bytes_are_pinned(tmp_path):
     inst = random_instance(30, 0.4, 1000, 20, "1/3", seed=1)
     inst_path, dump = tmp_path / "inst.json", tmp_path / "dump.json"
-    save_instance(inst, str(inst_path))
+    inst_path.write_text(dumps_canonical(instance_to_json_obj(inst)))
     code = main([
         "solve", "--input", str(inst_path), "--output", str(tmp_path / "s.json"),
         "--dump-decomposition", str(dump),
@@ -84,7 +84,8 @@ PINNED_ALPHA_EXACT_SHA256 = "f9989106df8aea25f1bee201b092c203347bc6e599976290daf
 
 def test_solve_alpha_flag_chooses_class5_case(tmp_path):
     inst_path = tmp_path / "inst.json"
-    save_instance(bucketed_instance(random.Random(1)), str(inst_path))
+    inst = bucketed_instance(random.Random(1))
+    inst_path.write_text(dumps_canonical(instance_to_json_obj(inst)))
     solve_args = [
         "solve", "--input", str(inst_path), "--output", str(tmp_path / "s.json"),
         "--dks", "exact", "--report", str(tmp_path / "report.json"),
@@ -222,6 +223,42 @@ def test_verify_rejects_malformed_vertex_ids(tmp_path, capsys, vertices):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_verify_rejects_an_instance_that_solve_rejects(tmp_path, capsys):
+    # the duplicated edge would be counted twice: profit 6 would verify
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst_path.write_text(json.dumps({
+        "n": 2, "limit": 5, "costs": [1, -1], "vertex_profits": [0, 0],
+        "edges": [[0, 1, 3], [1, 0, 3]],
+    }))
+    sol_path.write_text(json.dumps({"vertices": [0, 1], "cost": 0, "profit": 6}))
+    for argv in (
+        ["verify", "--input", str(inst_path), "--solution", str(sol_path)],
+        ["solve", "--input", str(inst_path)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid instance: ")
+        assert "duplicate edge" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--output", "{missing}/s.json"],
+    ["solve", "--report", "{missing}/r.json"],
+    ["solve", "--dump-decomposition", "{missing}/d.json"],
+    ["generate", "--n", "4", "--density", "0.5", "--output", "{missing}/i.json"],
+    ["bench", "--trials", "1", "--n-range", "4", "--json-out", "{missing}/b.json"],
+])
+def test_write_into_a_missing_directory_exits_two(tmp_path, capsys, argv):
+    inst_path = tmp_path / "tri.json"
+    write_triangle(inst_path)
+    if argv[0] == "solve":
+        argv = argv + ["--input", str(inst_path)]
+    missing = str(tmp_path / "missing")
+    assert main([a.replace("{missing}", missing) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
 def test_bench_zero_trials(tmp_path, capsys):
     assert main(["bench", "--trials", "0", "--n-range", "4:6"]) == 0
     out = capsys.readouterr().out
@@ -286,3 +323,14 @@ def test_solve_batch_requires_output_dir(tmp_path):
     in_dir = tmp_path / "instances"
     in_dir.mkdir()
     assert main(["solve", "--input", str(in_dir)]) == 2
+
+
+def test_solve_batch_output_is_an_existing_file(tmp_path, capsys):
+    in_dir = tmp_path / "instances"
+    in_dir.mkdir()
+    write_triangle(in_dir / "tri.json")
+    taken = tmp_path / "taken.json"
+    taken.write_text("")
+    assert main(["solve", "--input", str(in_dir), "--output", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert taken.read_text() == ""

@@ -15,14 +15,14 @@ from helpers import (
 )
 from qkpapprox.instance import (
     QkpInstance,
+    dumps_canonical,
     evaluate,
     instance_from_json_obj,
     instance_to_json_obj,
-    is_feasible,
     load_instance,
-    save_instance,
     validate,
 )
+from qkpapprox.orchestrator import solve
 
 
 def triangle(limit=2):
@@ -62,18 +62,22 @@ def test_evaluate_rejects_bad_vertex():
 
 
 def test_feasible_boundary_equality():
-    inst = QkpInstance(n=2, cost=(1, 1), vprofit=(0, 0), edges=(), limit=2)
-    assert is_feasible(inst, {0, 1})
+    # a set whose cost equals the limit is feasible: solve takes both
+    inst = QkpInstance(n=2, cost=(1, 1), vprofit=(1, 1), edges=(), limit=2)
+    assert evaluate(inst, {0, 1}) == (2, 2)
+    assert solve(inst)[0].vertices == (0, 1)
 
 
 def test_infeasible_over_limit():
-    inst = QkpInstance(n=2, cost=(3, 3), vprofit=(0, 0), edges=(), limit=5)
-    assert not is_feasible(inst, {0, 1})
+    inst = QkpInstance(n=2, cost=(3, 3), vprofit=(1, 1), edges=(), limit=5)
+    assert evaluate(inst, {0, 1})[0] == 6
+    assert solve(inst)[0].vertices == (0,)
 
 
 def test_empty_set_feasible_at_zero_limit():
-    inst = QkpInstance(n=1, cost=(1,), vprofit=(0,), edges=(), limit=0)
-    assert is_feasible(inst, set())
+    inst = QkpInstance(n=1, cost=(1,), vprofit=(1,), edges=(), limit=0)
+    assert evaluate(inst, set()) == (0, 0)
+    assert solve(inst)[0].vertices == ()
 
 
 def test_validate_ok():
@@ -146,7 +150,7 @@ def test_evaluate_monotone_in_subset(inst, data):
 
 @given(qkp_instances(max_n=6))
 def test_empty_always_feasible(inst):
-    assert is_feasible(inst, set())
+    assert evaluate(inst, set()) == (0, 0)
 
 
 def test_json_round_trip(tmp_path):
@@ -158,7 +162,7 @@ def test_json_round_trip(tmp_path):
         limit=Fraction(9, 2),
     )
     path = tmp_path / "inst.json"
-    save_instance(inst, str(path))
+    path.write_text(dumps_canonical(instance_to_json_obj(inst)))
     again = load_instance(str(path))
     assert again == inst
     # non-integral rationals serialize as p/q strings

@@ -1,4 +1,4 @@
-"""Knapsack FPTAS and exact solver."""
+"""Knapsack FPTAS, and its sweep run exactly."""
 
 import random
 from fractions import Fraction
@@ -9,10 +9,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_knapsack_exact, reference_knapsack_fptas
+from helpers import exact_sweep, reference_knapsack_exact, reference_knapsack_fptas
 from qkpapprox import knapsack, prepare, random_instance
-from qkpapprox.errors import CapacityError
-from qkpapprox.knapsack import knapsack_exact, knapsack_fptas
+from qkpapprox.knapsack import knapsack_fptas
 
 
 def total(items, chosen):
@@ -77,41 +76,31 @@ def test_fptas_cost_denominator_on_a_dropped_item():
 
 def test_exact_small_case():
     items = [(2, 3), (3, 4), (4, 5)]
-    chosen = knapsack_exact(items, 5)
+    chosen = exact_sweep(items, 5)
     assert total(items, chosen) == (5, 7)
 
 
 def test_exact_single_heavy_item():
-    assert knapsack_exact([(10, 5)], 4) == ()
+    assert exact_sweep([(10, 5)], 4) == ()
 
 
 def test_exact_all_zero_cost():
     items = [(0, 3), (0, 1), (0, 2)]
-    assert knapsack_exact(items, 0) == (0, 1, 2)
+    assert exact_sweep(items, 0) == (0, 1, 2)
 
 
-def test_exact_guard_trips():
-    # the guard bounds the capacity in the integer units the sweep runs on:
-    # 1001 is small, but at cost 1/1000 it is 1,001,000 units
-    items = [(Fraction(1, 1000), 1)] * 30
-    with pytest.raises(CapacityError):
-        knapsack_exact(items, 1001)
-    with pytest.raises(CapacityError):
-        knapsack_exact([(1, 1)] * 30, 1_000_001)
-
-
-def test_exact_guard_accepts_small_scaled_capacity():
+def test_exact_sweep_on_fraction_costs():
     # 30 items of cost 1/3 and capacity 5 are 15 units: the same answer as
     # the items scaled by 3
-    thirds = knapsack_exact([(Fraction(1, 3), 1)] * 30, 5)
-    assert thirds == knapsack_exact([(1, 1)] * 30, 15)
+    thirds = exact_sweep([(Fraction(1, 3), 1)] * 30, 5)
+    assert thirds == exact_sweep([(1, 1)] * 30, 15)
     assert len(thirds) == 15
 
 
 def test_exact_many_integral_items_allowed():
     rng = random.Random(0)
     items = [(rng.randint(1, 9), rng.randint(0, 9)) for _ in range(60)]
-    chosen = knapsack_exact(items, 40)
+    chosen = exact_sweep(items, 40)
     cost, profit = total(items, chosen)
     assert cost <= 40
     greedy_lb = max(p for c, p in items if c <= 40)
@@ -124,7 +113,7 @@ def test_fptas_respects_ratio_on_random_integral_instances():
         n = rng.randint(1, 100)
         items = [(rng.randint(1, 30), rng.randint(0, 50)) for _ in range(n)]
         capacity = rng.randint(0, 15 * n)
-        exact = knapsack_exact(items, capacity)
+        exact = exact_sweep(items, capacity)
         opt = total(items, exact)[1]
         for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)):
             chosen = knapsack_fptas(items, capacity, eps)
@@ -155,7 +144,7 @@ def test_exact_matches_brute_force():
         n = rng.randint(0, 10)
         items = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(n)]
         capacity = rng.randint(0, 30)
-        chosen = knapsack_exact(items, capacity)
+        chosen = exact_sweep(items, capacity)
         cost, profit = total(items, chosen)
         assert cost <= capacity
         assert profit == brute_opt(items, capacity)
@@ -199,7 +188,7 @@ def test_integer_sweep_matches_rational_reference(items, capacity, eps):
     assert knapsack_fptas(items, capacity, eps) == reference_knapsack_fptas(
         items, capacity, eps
     )
-    assert knapsack_exact(items, capacity) == reference_knapsack_exact(items, capacity)
+    assert exact_sweep(items, capacity) == reference_knapsack_exact(items, capacity)
 
 
 def _bound_spy():
@@ -264,7 +253,7 @@ def test_fixed_items_keep_the_reference_subset(knap, eps):
     assert knapsack_fptas(items, capacity, eps) == reference_knapsack_fptas(
         items, capacity, eps
     )
-    assert knapsack_exact(items, capacity) == reference_knapsack_exact(items, capacity)
+    assert exact_sweep(items, capacity) == reference_knapsack_exact(items, capacity)
 
 
 # long item lists, so the frontier outgrows the item count and the sweep
@@ -314,7 +303,7 @@ def _check_long_sweep(knap, eps):
     assert knapsack_fptas(items, capacity, eps) == reference_knapsack_fptas(
         items, capacity, eps
     )
-    assert knapsack_exact(items, capacity) == reference_knapsack_exact(items, capacity)
+    assert exact_sweep(items, capacity) == reference_knapsack_exact(items, capacity)
 
 
 def test_pruned_sweep_matches_rational_reference():
@@ -335,7 +324,7 @@ def test_pruned_sweep_keeps_states_at_the_bound():
                 assert knapsack_fptas(items, capacity, Fraction(1, 2)) == (
                     reference_knapsack_fptas(items, capacity, Fraction(1, 2))
                 )
-                assert knapsack_exact(items, capacity) == reference_knapsack_exact(
+                assert exact_sweep(items, capacity) == reference_knapsack_exact(
                     items, capacity
                 )
     assert _pruned(spy)
@@ -352,7 +341,7 @@ def test_pruned_class1_knapsack_matches_reference(seed):
     fix = _FixSpy()
     with _bound_spy() as spy, mock.patch.object(knapsack, "_fix", fix):
         chosen = knapsack_fptas(items, limit, eps)
-        exact = knapsack_exact(items, limit)
+        exact = exact_sweep(items, limit)
     assert _pruned(spy)
     # both fixing rules fire: the sweep runs on part of the items only
     assert fix.fixed_in and fix.fixed_out

@@ -122,7 +122,7 @@ def test_report_invariants():
     )
     sol, report = solve(inst)
     assert isinstance(report, RunReport)
-    feas = [r.profit for r in report.records if r.feasible]
+    feas = [evaluate(inst, r.vertices)[1] for r in report.records if r.feasible]
     assert max(feas) == report.best_profit == sol.total_profit
     assert report.records[-1].case == "singleton_pair_scan"
     obj = report.to_json_obj()
@@ -217,7 +217,7 @@ def test_bound_gated_selection_matches_full_evaluation(inst, backend):
     best = None
     for rec in report.records:
         cost, profit = _raw_evaluate(inst, rec.vertices)
-        assert (rec.cost, rec.profit, rec.size) == (cost, profit, len(rec.vertices))
+        assert (*evaluate(inst, rec.vertices), rec.size) == (cost, profit, len(rec.vertices))
         assert rec.feasible == (cost <= inst.limit)
         if rec.feasible and _beats(profit, rec.vertices, best):
             best = (profit, rec.vertices, rec.class_tag)
@@ -242,4 +242,6 @@ def test_bound_skips_candidates_that_cannot_win():
     # evaluated
     assert spy.call_count == 2
     assert report.best_class == 1
-    assert sol.total_profit == max(r.profit for r in report.records if r.feasible)
+    assert sol.total_profit == max(
+        evaluate(inst, r.vertices)[1] for r in report.records if r.feasible
+    )

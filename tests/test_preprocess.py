@@ -1,4 +1,4 @@
-"""Pruning, profit rounding and cost bucketing."""
+"""prepare: pruning, profit rounding and cost bucketing."""
 
 import random
 from fractions import Fraction
@@ -13,15 +13,16 @@ from helpers import (
     rational_cost_instance,
     rational_instances,
     reference_prepare,
+    unrounded_reduced,
 )
 from qkpapprox.instance import QkpInstance
-from qkpapprox.preprocess import bucket_costs, prepare, prune, round_profits
+from qkpapprox.preprocess import bucket_costs, prepare
 from qkpapprox.rational import pow2
 
 
 def test_prune_drops_overweight_vertex_and_edge():
     inst = QkpInstance(n=2, cost=(5, 12), vprofit=(0, 0), edges=((0, 1, 3),), limit=10)
-    result = prune(inst)
+    result = prepare(inst)
     assert result.reduced.n == 1
     assert result.reduced.edges == ()
     assert result.orig_of == (0,)
@@ -29,7 +30,7 @@ def test_prune_drops_overweight_vertex_and_edge():
 
 def test_prune_folds_zero_cost_vertex():
     inst = QkpInstance(n=2, cost=(0, 1), vprofit=(2, 1), edges=((0, 1, 5),), limit=1)
-    result = prune(inst)
+    result = prepare(inst)
     assert result.base_profit == 2
     assert result.always_include == frozenset({0})
     assert result.reduced.n == 1
@@ -38,14 +39,14 @@ def test_prune_folds_zero_cost_vertex():
 
 def test_prune_drops_pair_cost_violating_edge():
     inst = QkpInstance(n=2, cost=(6, 6), vprofit=(0, 0), edges=((0, 1, 4),), limit=10)
-    result = prune(inst)
+    result = prepare(inst)
     assert result.reduced.n == 2
     assert result.reduced.edges == ()
 
 
 def test_prune_zero_profit_edges_dropped():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(0, 0), edges=((0, 1, 0),), limit=5)
-    assert prune(inst).reduced.edges == ()
+    assert prepare(inst).reduced.edges == ()
 
 
 def test_prune_chained_zero_cost_vertices():
@@ -57,7 +58,7 @@ def test_prune_chained_zero_cost_vertices():
         edges=((0, 1, 4), (1, 2, 3)),
         limit=5,
     )
-    result = prune(inst)
+    result = prepare(inst)
     assert result.base_profit == 1 + 2 + 4
     assert result.reduced.n == 1
     assert result.reduced.vprofit == (3,)
@@ -67,10 +68,10 @@ def test_prune_chained_zero_cost_vertices():
 @given(qkp_instances(max_n=8, allow_zero_cost=True))
 @settings(max_examples=60)
 def test_prune_preserves_optimum(inst):
-    result = prune(inst)
+    prep = prepare(inst)
     opt_before, _ = brute_force_opt(inst)
-    opt_after, _ = brute_force_opt(result.reduced)
-    assert opt_after + result.base_profit == opt_before
+    opt_after, _ = brute_force_opt(unrounded_reduced(inst, prep))
+    assert opt_after + prep.base_profit == opt_before
 
 
 def test_round_profits_level_ladder():
@@ -82,9 +83,9 @@ def test_round_profits_level_ladder():
         edges=((0, 1, 10), (1, 2, 3), (2, 3, Fraction(1, 5))),
         limit=10,
     )
-    rounded, levels = round_profits(inst)
-    assert levels == (8, 4, 2, 1, Fraction(1, 2), Fraction(1, 4), 0)
-    by_pair = {(u, v): p for u, v, p in rounded.edges}
+    prep = prepare(inst)
+    assert prep.profit_levels == (8, 4, 2, 1, Fraction(1, 2), Fraction(1, 4), 0)
+    by_pair = {(u, v): p for u, v, p in prep.reduced.edges}
     assert by_pair[(0, 1)] == 8
     assert by_pair[(1, 2)] == 2
     assert (2, 3) not in by_pair
@@ -92,9 +93,9 @@ def test_round_profits_level_ladder():
 
 def test_round_profits_single_edge():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(0, 0), edges=((0, 1, 7),), limit=5)
-    rounded, levels = round_profits(inst)
-    assert rounded.edges == ((0, 1, 4),)
-    assert levels[0] == 4
+    prep = prepare(inst)
+    assert prep.reduced.edges == ((0, 1, 4),)
+    assert prep.profit_levels[0] == 4
 
 
 def test_round_profits_fixed_point():
@@ -105,21 +106,19 @@ def test_round_profits_fixed_point():
         edges=((0, 1, 8), (1, 2, 4), (2, 3, 1)),
         limit=10,
     )
-    rounded, _ = round_profits(inst)
-    assert rounded.edges == inst.edges
+    assert prepare(inst).reduced.edges == inst.edges
 
 
 def test_round_profits_no_edges():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(3, 4), edges=(), limit=5)
-    rounded, levels = round_profits(inst)
-    assert rounded == inst
-    assert levels == ()
+    prep = prepare(inst)
+    assert prep.reduced == inst
+    assert prep.profit_levels == ()
 
 
 def test_round_profits_keeps_vertex_profits():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(3, Fraction(1, 7)), edges=((0, 1, 5),), limit=5)
-    rounded, _ = round_profits(inst)
-    assert rounded.vprofit == (3, Fraction(1, 7))
+    assert prepare(inst).reduced.vprofit == (3, Fraction(1, 7))
 
 
 def test_bucket_costs_dyadic_ranges():
@@ -176,11 +175,10 @@ def test_bucket_membership_inequality(inst):
 @given(qkp_instances(max_n=10))
 @settings(max_examples=80)
 def test_rounded_profit_within_factor_two(inst):
-    pruned = prune(inst).reduced
-    rounded, _ = round_profits(pruned)
-    before = {(u, v): p for u, v, p in pruned.edges}
-    for u, v, p in rounded.edges:
-        assert p <= before[(u, v)] < 2 * p
+    prep = prepare(inst)
+    before = {(u, v): p for u, v, p in inst.edges}
+    for ru, rv, p in prep.reduced.edges:
+        assert p <= before[(prep.orig_of[ru], prep.orig_of[rv])] < 2 * p
 
 
 def test_rounding_lemma_small_cases():
@@ -201,10 +199,9 @@ def test_rounding_lemma_small_cases():
             edges=edges,
             limit=rng.randint(2, 16),
         )
-        pruned = prune(inst).reduced
-        rounded, _ = round_profits(pruned)
-        opt_pruned, _ = brute_force_opt(pruned)
-        opt_rounded, _ = brute_force_opt(rounded)
+        prep = prepare(inst)
+        opt_pruned, _ = brute_force_opt(unrounded_reduced(inst, prep))
+        opt_rounded, _ = brute_force_opt(prep.reduced)
         assert 4 * opt_rounded >= opt_pruned
 
 
@@ -241,21 +238,21 @@ def test_reduced_instance_is_canonical():
         n=3, cost=(0, 1, 2), vprofit=(0, Fraction(1, 2), Fraction(1, 3)),
         edges=((0, 1, Fraction(1, 2)), (1, 2, 3)), limit=Fraction(7, 2),
     )
-    assert type(prune(folded).reduced.vprofit[0]) is int
+    assert type(prepare(folded).reduced.vprofit[0]) is int
     for inst in [folded] + [rational_cost_instance(seed) for seed in range(30)]:
-        for reduced in (prune(inst).reduced, prepare(inst).reduced):
-            checked = QkpInstance(
-                reduced.n, reduced.cost, reduced.vprofit, reduced.edges, reduced.limit
-            )
-            assert reduced == checked
-            for a, b in zip(
-                reduced.cost + reduced.vprofit + (reduced.limit,),
-                checked.cost + checked.vprofit + (checked.limit,),
-            ):
-                assert type(a) is type(b)
-            assert [type(p) for *_, p in reduced.edges] == [
-                type(p) for *_, p in checked.edges
-            ]
+        reduced = prepare(inst).reduced
+        checked = QkpInstance(
+            reduced.n, reduced.cost, reduced.vprofit, reduced.edges, reduced.limit
+        )
+        assert reduced == checked
+        for a, b in zip(
+            reduced.cost + reduced.vprofit + (reduced.limit,),
+            checked.cost + checked.vprofit + (checked.limit,),
+        ):
+            assert type(a) is type(b)
+        assert [type(p) for *_, p in reduced.edges] == [
+            type(p) for *_, p in checked.edges
+        ]
 
 
 @given(st.one_of(rational_instances(), qkp_instances(max_n=10)))
