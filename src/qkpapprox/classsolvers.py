@@ -2,10 +2,12 @@
 
 Each solver returns a vertex set (reduced ids) that is feasible for the
 sub-instance's scaled limit, along with the case it took and any fallback
-it triggered.  Costs are summed and compared in integer cost units, and
-each threshold against the scaled limit comes from the integer
-limit_ratio (see decompose).  Degree ties always break toward the smaller
-vertex id so outputs are deterministic.
+it triggered.  The orchestrator calls them only on sub-instances that
+overflow their limit: one whose whole vertex set fits is taken whole
+(case sum_all) by orchestrator._solve_sub.  Costs are summed and compared
+in integer cost units, and each threshold against the scaled limit comes
+from the integer limit_ratio (see decompose).  Degree ties always break
+toward the smaller vertex id so outputs are deterministic.
 """
 
 from dataclasses import dataclass
@@ -109,25 +111,25 @@ def _dks_with_fallback(graph: UGraph, k: int, backend: DksBackend):
 
 
 def solve_class2(sub: SubInstance) -> ClassOutcome:
-    """The whole tail when it fits, else the best union of two tail parts.
+    """The best union of two parts of a tail that overflows the limit.
 
     Tail costs are at most 2^(k-l) with 2^l > n, so the tail costs less
-    than 2^k < 2c* <= 2*limit in all, which can exceed the limit.  Then
-    the tail is cut, next-fit in id order, into parts of at most
-    floor(limit/2) units each, and the fitting union of two parts with the
-    most sub edges is returned, the first pair on ties.
+    than 2^k < 2c* <= 2*limit in all, which can exceed the limit.  A tail
+    that fits is taken whole by orchestrator._solve_sub, keeping every sub
+    edge, and never reaches this solver.  An overflowing tail is cut,
+    next-fit in id order, into parts of at most floor(limit/2) units
+    each, and the fitting union of two parts with the most sub edges is
+    returned, the first pair on ties.
 
-    Guarantee: the whole tail keeps every sub edge.  An overflowing tail
-    of a decomposed instance keeps at least 1/21 of them.  There, every
-    tail cost is at most 2^(k-2) < c*/2 <= limit/2 (l >= 2 once a class-2
-    edge exists), so each part, and each union of two, fits.  Two
-    consecutive parts together exceed limit/2, and the tail is below
-    2*limit, so there are at most 7 parts and 21 pairs of them, and every
-    edge lies within some pair.
+    Guarantee: an overflowing tail of a decomposed instance keeps at
+    least 1/21 of the sub edges.  There, every tail cost is at most
+    2^(k-2) < c*/2 <= limit/2 (l >= 2 once a class-2 edge exists), so
+    each part, and each union of two, fits.  Two consecutive parts
+    together exceed limit/2, and the tail is below 2*limit, so there are
+    at most 7 parts and 21 pairs of them, and every edge lies within
+    some pair.
     """
     units, limit = sub.cost_units, sub.limit_units
-    if sum(units[v] for v in sub.vertices) <= limit:
-        return ClassOutcome(tuple(sub.vertices), "sum_all")
     parts, load = [[]], 0
     for v in sub.vertices:
         if parts[-1] and load + units[v] > limit // 2:
@@ -149,7 +151,8 @@ def solve_class2(sub: SubInstance) -> ClassOutcome:
 
 
 def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
-    """DkS with k = floor(limit/2) on the unit-profit subgraph.
+    """DkS with k = floor(limit/2) on the unit-profit subgraph of a
+    sub-instance that overflows its limit.
 
     Any k such vertices are feasible because scaled costs are at most 2.
     Degenerate limits or tiny sub-instances fall back to trying every
@@ -277,6 +280,7 @@ def _degree_select(sub: SubInstance, adj, b_prime: list, light, m_a: int):
 def solve_class4(sub: SubInstance, eps=DEFAULT_KNAPSACK_EPS) -> ClassOutcome:
     """Top heavy-side vertices by degree, then top quarter of the light side.
 
+    The orchestrator sends it only sub-instances that overflow the limit.
     Below 8*d (or with a tiny or huge-but-cheap configuration) the
     heavy-side subsets are few enough to enumerate outright, which also
     sidesteps the capture loss of floored selection counts near the
@@ -298,7 +302,8 @@ def solve_class5(
     sub: SubInstance, backend: DksBackend, eps=DEFAULT_KNAPSACK_EPS
 ) -> ClassOutcome:
     """Case split on the light-side size against limit^((1+a)/(1-a)), a
-    the backend's declared_alpha.
+    the backend's declared_alpha, on a sub-instance that overflows its
+    limit.
 
     Small light side: pure degree selection (case 1).  Large light side:
     replicate the heavy side into d unit-cost copies, run DkS with

@@ -74,6 +74,10 @@ def _solve_one(input_path: str, output_path: str | None, args) -> int:
         cfg = SolveConfig(dks_backend=backend, knapsack_eps=args.eps)
     except ValueError as exc:
         return _fail(str(exc), 2)
+    # fail before the solve, not after it has written a first output
+    for path in (output_path, args.report, args.dump_decomposition):
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            return _fail(f"cannot write output: no directory for {path}", 2)
     solution, report = solve(inst, cfg)
     if solution.total_cost > inst.limit:
         return _fail("internal error: infeasible solution produced", 3)

@@ -127,10 +127,26 @@ def guaranteed_floor(n: int) -> Fraction:
 
 
 def _solve_sub(sub, reduced, backend, cfg):
+    """One sub-instance's outcome, in reduced ids.
+
+    Class 1 is the knapsack on the reduced vertex profits.  A class 2-5
+    sub-instance whose whole vertex set fits its limit is returned whole
+    (case sum_all): its objective counts only its own non-negative edge
+    profits, so no subset does better.  Only an overflowing one reaches
+    its class solver.  Against sending every sub-instance to its solver,
+    no solve's profit can drop: a solver's output is a subset of
+    sub.vertices; always-include vertices cost 0, so a fitting
+    sub-instance lifts to a set that fits the original limit; all
+    profits are non-negative, so each lifted candidate's original profit
+    only rises; and solve's bound-ordered pick still finds the best
+    candidate.
+    """
     if sub.class_tag == 1:
         items = list(zip(reduced.cost, reduced.vprofit))
         picked = knapsack_fptas(items, reduced.limit, cfg.knapsack_eps)
         return ClassOutcome(tuple(sub.vertices[i] for i in picked), "knapsack")
+    if sum(sub.cost_units[v] for v in sub.vertices) <= sub.limit_units:
+        return ClassOutcome(tuple(sub.vertices), "sum_all")
     if sub.class_tag == 2:
         return solve_class2(sub)
     if sub.class_tag == 3:

@@ -12,7 +12,13 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from qkpapprox import dks, knapsack, orchestrator
-from qkpapprox.classsolvers import ReplicatedGraph
+from qkpapprox.classsolvers import (
+    ReplicatedGraph,
+    solve_class2,
+    solve_class3,
+    solve_class4,
+    solve_class5,
+)
 from qkpapprox.decompose import SubInstance, decompose
 from qkpapprox.dks import UGraph
 from qkpapprox.instance import QkpInstance, Solution, evaluate
@@ -476,6 +482,29 @@ def bucketed_instance(rng: random.Random) -> QkpInstance:
     return QkpInstance(n=n, cost=tuple(costs), vprofit=(0,) * n, edges=tuple(edges), limit=6400)
 
 
+def tail_instance(rng: random.Random) -> QkpInstance:
+    """An instance whose vertices all lie in the tail bucket but one: an
+    anchor of cost c* = 2^(k-1) + 1 and n - 1 costs in [2^(k-l-1), 2^(k-l)],
+    so every edge among them is class 2 and every anchor edge class 4.
+    n is just below a power of two and the limit between c* and c* plus
+    half the tail's cost, so a class-2 sub-instance sometimes fits its
+    limit whole and sometimes overflows it."""
+    n = rng.choice((7, 14, 15))
+    tail_exp = rng.randint(2, 4)  # k - l
+    anchor = 2 ** (n.bit_length() + tail_exp - 1) + 1
+    costs = [anchor] + [rng.randint(2 ** (tail_exp - 1), 2 ** tail_exp) for _ in range(n - 1)]
+    density = rng.choice([0.3, 0.7])
+    edges = tuple(
+        (u, v, rng.randint(1, 3))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < density
+    )
+    vprofit = tuple(rng.randint(0, 3) for _ in range(n))
+    limit = rng.randint(anchor, anchor + sum(costs[1:]) // 2)
+    return QkpInstance(n=n, cost=tuple(costs), vprofit=vprofit, edges=edges, limit=limit)
+
+
 def rational_cost_instance(seed: int) -> QkpInstance:
     """Seeded instance with rational costs and limit: denominators 2, 3, 7
     and 21, costs on powers of two and below 1, and Fraction edge profits."""
@@ -794,6 +823,33 @@ def reference_solve(inst: QkpInstance, cfg) -> tuple[Solution, RunReport]:
         tuple(records), profit, best[1], best[2], backend.name, cfg.knapsack_eps, 0.0
     )
     return Solution(best[1], cost, profit), report
+
+
+def ungated_best(inst: QkpInstance, cfg):
+    """solve's best profit with every class 2-5 sub-instance sent to its
+    class solver, also one that fits its limit whole (solve takes that one
+    whole): each candidate lifted to original ids with the always-include
+    set, the best feasible one's original profit, the fallback scan
+    included.  Every candidate is evaluated."""
+    backend = cfg.backend()
+    prep = prepare(inst)
+    units, limit = prep.orig_cost_units, prep.limit_units
+    best = prep.fallback[0]
+    for sub in decompose(prep):
+        if sub.class_tag == 1:
+            outcome = orchestrator._solve_sub(sub, prep.reduced, backend, cfg)
+        elif sub.class_tag == 2:
+            outcome = solve_class2(sub)
+        elif sub.class_tag == 3:
+            outcome = solve_class3(sub, backend)
+        elif sub.class_tag == 4:
+            outcome = solve_class4(sub, eps=cfg.knapsack_eps)
+        else:
+            outcome = solve_class5(sub, backend, eps=cfg.knapsack_eps)
+        verts = sorted(prep.always_include.union(prep.orig_of[r] for r in outcome.vertices))
+        if sum(units[v] for v in verts) <= limit:
+            best = max(best, evaluate(inst, verts)[1])
+    return best
 
 
 def reference_validate(inst: QkpInstance) -> list[str]:

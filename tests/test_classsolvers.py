@@ -18,7 +18,7 @@ from helpers import (
     sub_from_scaled,
     subinstance_as_qkp,
 )
-from qkpapprox import classsolvers
+from qkpapprox import classsolvers, orchestrator
 from qkpapprox.classsolvers import (
     _adj_sets,
     _degree_select,
@@ -50,9 +50,16 @@ def make_sub(class_tag, costs, edges, limit, part_a=None, part_b=None, d=None):
     )
 
 
+def solve_tail(sub):
+    """A class-2 sub-instance on the path solve runs: a tail that fits is
+    taken whole by the orchestrator, and only an overflowing one reaches
+    solve_class2."""
+    return orchestrator._solve_sub(sub, None, GREEDY_BACKEND, SolveConfig())
+
+
 def test_class2_takes_everything():
     sub = make_sub(2, [1, 1, 1, 1, 1], [(0, 1), (2, 3)], limit=100)
-    out = solve_class2(sub)
+    out = solve_tail(sub)
     assert out.vertices == (0, 1, 2, 3, 4)
     assert sub_edge_count(sub, out.vertices) == 2
 
@@ -104,7 +111,7 @@ def test_class2_output_always_fits():
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6
         ]
         sub = make_sub(2, costs, edges, limit)
-        out = solve_class2(sub)
+        out = solve_tail(sub)
         assert sub_cost(sub, out.vertices) <= limit, trial
         assert 21 * sub_edge_count(sub, out.vertices) >= len(edges), trial
         assert out.case == ("sum_all" if sum(costs) <= limit else "tail_split")
@@ -319,7 +326,7 @@ def test_class2_profit_is_full_edge_mass():
             if rng.random() < 0.5
         ]
         sub = make_sub(2, [Fraction(1, n)] * n, edges, limit=10)
-        out = solve_class2(sub)
+        out = solve_tail(sub)
         assert sub_edge_count(sub, out.vertices) == len(edges)
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import bucketed_instance
+from qkpapprox import cli
 from qkpapprox.cli import main
 from qkpapprox.generate import random_instance
 from qkpapprox.instance import QkpInstance, dumps_canonical, instance_to_json_obj
@@ -56,7 +57,7 @@ def test_solve_writes_report_and_dump(tmp_path):
 # instance that reaches classes 1, 3, 4 and 5.  A change to either means
 # the decomposition or a candidate changed.
 PINNED_DUMP_SHA256 = "ae753e167ed2516303f96c786c9f5d4e84120a777856aea9952f47a67c80ea17"
-PINNED_REPORT_SHA256 = "1dc067763bc2b5ebfb24b8f4fb1b723289594fb4a97f09866021bb891d4b3cc1"
+PINNED_REPORT_SHA256 = "f524b3b35525addaccc69980d6a6388aeb68c621231f7b73f4d2e6b472c9cb29"
 
 
 def test_dump_and_report_bytes_are_pinned(tmp_path):
@@ -257,6 +258,21 @@ def test_write_into_a_missing_directory_exits_two(tmp_path, capsys, argv):
     missing = str(tmp_path / "missing")
     assert main([a.replace("{missing}", missing) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+def test_solve_fails_fast_on_an_unwritable_output(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "tri.json"
+    write_triangle(inst_path)
+    solves = []
+    monkeypatch.setattr(cli, "solve", lambda *a: solves.append(a) or solve(*a))
+    code = main([
+        "solve", "--input", str(inst_path), "--output", str(tmp_path / "s.json"),
+        "--report", str(tmp_path / "missing" / "r.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output")
+    assert not (tmp_path / "s.json").exists()
+    assert solves == []
 
 
 def test_bench_zero_trials(tmp_path, capsys):

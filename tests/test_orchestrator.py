@@ -1,5 +1,6 @@
 """End-to-end solves, the guaranteed floor and determinism."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_opt,
+    bucketed_instance,
     instance_total_profit,
     qkp_instances,
     rational_instances,
     rationals,
     reference_solve,
+    tail_instance,
+    ungated_best,
 )
 from qkpapprox import orchestrator, random_instance
+from qkpapprox.decompose import decompose
 from qkpapprox.dks import DksBackend, dks_exact, dks_greedy_peel
 from qkpapprox.instance import QkpInstance, evaluate
 from qkpapprox.orchestrator import (
@@ -25,6 +30,7 @@ from qkpapprox.orchestrator import (
     guaranteed_floor,
     solve,
 )
+from qkpapprox.preprocess import prepare
 
 
 def test_path_instance():
@@ -245,3 +251,44 @@ def test_bound_skips_candidates_that_cannot_win():
     assert sol.total_profit == max(
         evaluate(inst, r.vertices)[1] for r in report.records if r.feasible
     )
+
+
+@pytest.mark.parametrize("backend", ["greedy", "exact"])
+def test_all_fit_gate_never_lowers_profit(backend):
+    rng = random.Random(17)
+    instances = (
+        [random_instance(rng.randint(10, 40), rng.choice([0.2, 0.5]), 1000, 20, "1/3", seed=s)
+         for s in range(8)]
+        + [bucketed_instance(random.Random(s)) for s in range(2)]
+        + [tail_instance(rng) for _ in range(16)]
+    )
+    cfg = SolveConfig(dks_backend=backend)
+    seen = {"sum_all": set(), "overflow": set()}
+    for inst in instances:
+        sol, report = solve(inst, cfg)
+        assert sol.total_profit >= ungated_best(inst, cfg)
+        prep = prepare(inst)
+        for sub, rec in zip(decompose(prep), report.records):
+            assert rec.class_tag == sub.class_tag
+            if sub.class_tag == 1:
+                continue
+            if sum(sub.cost_units[v] for v in sub.vertices) <= sub.limit_units:
+                lifted = prep.always_include.union(prep.orig_of[r] for r in sub.vertices)
+                assert (rec.case, rec.vertices) == ("sum_all", tuple(sorted(lifted)))
+                seen["sum_all"].add(sub.class_tag)
+            else:
+                assert rec.case != "sum_all"
+                seen["overflow"].add(sub.class_tag)
+    # both sides of the gate ran in every class
+    assert seen == {"sum_all": {2, 3, 4, 5}, "overflow": {2, 3, 4, 5}}
+
+
+def test_fitting_class4_sub_is_not_enumerated():
+    # one class-4 sub-instance here has 2 light and 18 heavy vertices and
+    # fits its limit; the heavy-side enumeration stops at ENUM_COMBO_CAP
+    # on it (enum_b4_capped), so it must be taken whole instead
+    inst = random_instance(400, 0.1, 1000, 1000, "1/2", seed=1)
+    _, report = solve(inst, SolveConfig(dks_backend="greedy"))
+    assert not any("enum_b4_capped" in rec.fallbacks for rec in report.records)
+    assert {rec.case for rec in report.records if rec.class_tag == 4} == {"sum_all"}
+

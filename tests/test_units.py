@@ -119,7 +119,7 @@ GOLDEN_VERTICES = [
 ]
 # sha256 over each solve's report (every candidate's case, cost and profit)
 # and its decomposition dump, recorded with GOLDEN_VERTICES
-GOLDEN_DIGEST = "4b1702ef4cb02fa8d8fbe333efd3be249d299c2699911c289e24ba3b98176de3"
+GOLDEN_DIGEST = "a850cec14c2d204f66ad4fb960663741bcdef881eb6f7c938606520552dae1dc"
 
 
 def test_rational_cost_solves_match_recorded_results():
