@@ -7,15 +7,6 @@ are compared in integer units; a candidate's profit is evaluated only when
 a degree bound says it can win or tie.
 """
 
-from .classsolvers import (
-    ClassOutcome,
-    ReplicatedGraph,
-    replicate,
-    solve_class2,
-    solve_class3,
-    solve_class4,
-    solve_class5,
-)
 from .decompose import SubInstance, decompose
 from .dks import (
     EXACT_BACKEND,

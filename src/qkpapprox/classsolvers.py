@@ -1,10 +1,13 @@
 """Solvers for sub-instance classes 2-5.
 
-Each solver returns a vertex set (reduced ids) that is feasible for the
-sub-instance's scaled limit, along with the case it took and any fallback
-it triggered.  The orchestrator calls them only on sub-instances that
-overflow their limit: one whose whole vertex set fits is taken whole
-(case sum_all) by orchestrator._solve_sub.  Costs are summed and compared
+Each solver returns a vertex set (reduced ids), along with the case it
+took and any fallback it triggered.  The orchestrator calls them only on
+sub-instances built by decompose that overflow their limit: one whose
+whole vertex set fits is taken whole (case sum_all) by
+orchestrator._solve_sub.  On such input every output fits the scaled
+limit by construction, as each solver's docstring argues; nothing is
+trimmed afterwards, and the orchestrator's per-candidate feasible flag,
+on the original costs, is the one check.  Costs are summed and compared
 in integer cost units, and each threshold against the scaled limit comes
 from the integer limit_ratio (see decompose).  Degree ties always break
 toward the smaller vertex id so outputs are deterministic.
@@ -70,8 +73,8 @@ def replicate(sub: SubInstance) -> ReplicatedGraph:
     edges.sort()
     return ReplicatedGraph(
         d=d,
-        a_members=tuple(part_a),
-        b_members=tuple(part_b),
+        a_members=part_a,
+        b_members=part_b,
         graph=UGraph.from_canonical(n_a + d * len(part_b), tuple(edges)),
     )
 
@@ -222,8 +225,7 @@ def _enum_small_b(sub: SubInstance, eps) -> ClassOutcome:
     subsets can be far more, and the enumeration stops after
     ENUM_COMBO_CAP of them with the note enum_b4_capped.
     """
-    part_a = tuple(sub.part_a or ())
-    part_b = tuple(sub.part_b or ())
+    part_a, part_b = sub.part_a, sub.part_b
     adj = _adj_sets(sub)
     units, limit = sub.cost_units, sub.limit_units
     max_size = min(7, _limit_over(sub, sub.d_gap))
@@ -246,35 +248,11 @@ def _enum_small_b(sub: SubInstance, eps) -> ClassOutcome:
     return ClassOutcome(best, "enum_b4", fallbacks)
 
 
-def _fit_to_limit(sub: SubInstance, ranked_a: list, ranked_b: list):
-    """Drop trailing (lowest-ranked) picks until the scaled limit holds.
-
-    A safety net for sub-instances that violate the class preconditions
-    (possible when the tail-cost premise fails on awkward n); on
-    conforming inputs it never triggers.
-    """
-    units = sub.cost_units
-    total = sum(units[v] for v in ranked_a + ranked_b)
-    trimmed = False
-    while total > sub.limit_units and (ranked_a or ranked_b):
-        victim = ranked_a.pop() if ranked_a else ranked_b.pop()
-        total -= units[victim]
-        trimmed = True
-    return ranked_a, ranked_b, trimmed
-
-
-def _degree_select(sub: SubInstance, adj, b_prime: list, light, m_a: int):
+def _degree_select(adj, b_prime: list, light, m_a: int) -> tuple[int, ...]:
     """The heavy picks b_prime plus the m_a light vertices of most degree
-    into them, trimmed to the limit by _fit_to_limit.
-
-    Returns the sorted vertices and the fallback note
-    ("trimmed_for_feasibility",) when a pick was trimmed, else ().
-    """
+    into them, sorted."""
     b_set = set(b_prime)
-    a_prime = _top(light, m_a, lambda a: len(adj[a] & b_set))
-    a_prime, b_prime, trimmed = _fit_to_limit(sub, a_prime, b_prime)
-    notes = ("trimmed_for_feasibility",) if trimmed else ()
-    return tuple(sorted(a_prime + b_prime)), notes
+    return tuple(sorted(_top(light, m_a, lambda a: len(adj[a] & b_set)) + b_prime))
 
 
 def solve_class4(sub: SubInstance, eps=DEFAULT_KNAPSACK_EPS) -> ClassOutcome:
@@ -286,16 +264,22 @@ def solve_class4(sub: SubInstance, eps=DEFAULT_KNAPSACK_EPS) -> ClassOutcome:
     sidesteps the capture loss of floored selection counts near the
     boundary.  The light-side count rounds up so the top picks always
     carry at least a quarter of the edge mass.
+
+    The main path fits the scaled limit L by construction on a
+    sub-instance built by decompose.  The floor(L/4d) heavy picks cost at
+    most 2d each, at most L/2 together.  The ceil(|A|/4) light picks are
+    tail vertices of cost at most 1 each.  |A| <= n < 2^l, and
+    L > 2^(l-1) because the limit is at least c* > 2^(k-1), so
+    ceil(|A|/4) <= 2^(l-2) < L/2.
     """
-    part_a, part_b = tuple(sub.part_a), tuple(sub.part_b)
+    part_a, part_b = sub.part_a, sub.part_b
     per_4d = _limit_over(sub, 4 * sub.d_gap)  # 0 below 4d, under 2 below 8d
     if per_4d == 0 or len(part_a) < 4 or (per_4d < 2 and len(part_b) <= 16):
         return _enum_small_b(sub, eps)
     adj = _adj_sets(sub)
-    b_prime = _top(part_b, max(1, per_4d), lambda b: len(adj[b]))
+    b_prime = _top(part_b, per_4d, lambda b: len(adj[b]))
     m_a = -(-len(part_a) // 4)
-    verts, trim_note = _degree_select(sub, adj, b_prime, part_a, m_a)
-    return ClassOutcome(verts, "main", trim_note)
+    return ClassOutcome(_degree_select(adj, b_prime, part_a, m_a), "main")
 
 
 def solve_class5(
@@ -310,20 +294,24 @@ def solve_class5(
     k = floor(limit) on the replicated graph, and read the selection back
     through the per-base-vertex peak copy degrees (case 2).  A replicated
     graph above REPLICATION_CAP vertices takes case 1 instead.
+
+    Both cases fit the scaled limit L by construction on a sub-instance
+    built by decompose.  The floor(L/4d) heavy picks cost at most 2d
+    each, at most L/2 together, and the floor(L/4) light picks cost at
+    most 2 each, at most L/2 together.
     """
-    part_a, part_b = tuple(sub.part_a), tuple(sub.part_b)
+    part_a, part_b = sub.part_a, sub.part_b
     per_4d = _limit_over(sub, 4 * sub.d_gap)
     if per_4d == 0:  # limit below 4d
         return _enum_small_b(sub, eps)
     adj = _adj_sets(sub)
-    m_a, m_b = max(1, _limit_over(sub, 4)), max(1, per_4d)
+    m_a = _limit_over(sub, 4)
 
     small_a = _case1_applies(sub, len(part_a), backend.declared_alpha)
     if small_a or len(part_a) + int(sub.d_gap) * len(part_b) > REPLICATION_CAP:
-        b_prime = _top(part_b, m_b, lambda b: len(adj[b]))
-        verts, trim_note = _degree_select(sub, adj, b_prime, part_a, m_a)
-        cap_note = () if small_a else ("replication_cap_exceeded",)
-        return ClassOutcome(verts, "case1", cap_note + trim_note)
+        b_prime = _top(part_b, per_4d, lambda b: len(adj[b]))
+        fallbacks = () if small_a else ("replication_cap_exceeded",)
+        return ClassOutcome(_degree_select(adj, b_prime, part_a, m_a), "case1", fallbacks)
 
     rep = replicate(sub)
     k = _limit_over(sub, 1)
@@ -340,6 +328,5 @@ def solve_class5(
             if deg > delta_star[base]:
                 delta_star[base] = deg
 
-    b_prime = _top(part_b, m_b, lambda b: delta_star[b])
-    verts, trim_note = _degree_select(sub, adj, b_prime, a_returned, m_a)
-    return ClassOutcome(verts, "case2", fallbacks + trim_note)
+    b_prime = _top(part_b, per_4d, lambda b: delta_star[b])
+    return ClassOutcome(_degree_select(adj, b_prime, a_returned, m_a), "case2", fallbacks)

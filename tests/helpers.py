@@ -505,6 +505,41 @@ def tail_instance(rng: random.Random) -> QkpInstance:
     return QkpInstance(n=n, cost=tuple(costs), vprofit=vprofit, edges=edges, limit=limit)
 
 
+def anchored_instance(rng: random.Random) -> QkpInstance:
+    """An instance at the edge of the class solvers' fit arguments: one
+    anchor of cost c* = 2^(k-1) + 1, the limit at c* or c* + 1 (so the
+    scaled limit is barely above 2^(l-1)), and n in {2^j - 1, 2^j,
+    2^j + 1}.  The other n - 1 costs sit in the top half of their bucket:
+    spread over buckets 2 to the tail ("spread"), all in the tail
+    ("tail"), or in two adjacent buckets, most in the lighter one
+    ("pair").  Half of the draws divide every cost and the limit by 3.
+    Every edge has profit 1, so each bucket pair is one sub-instance."""
+    j = rng.randint(3, 5)
+    n = 2**j + rng.choice((-1, 0, 1))
+    l = n.bit_length()
+    k = rng.randint(j + 2, j + 4)
+    shape = rng.choice(("spread", "tail", "pair"))
+    pair = rng.randint(3, l)
+    costs = [Fraction(2 ** (k - 1) + 1)]
+    for _ in range(n - 1):
+        if shape == "spread":
+            bucket = rng.randint(2, l + 1)
+        elif shape == "tail":
+            bucket = l + 1
+        else:
+            bucket = pair - 1 if rng.random() < 0.3 else pair
+        top = Fraction(2) ** (k - min(bucket, l) + (bucket <= l))
+        costs.append(top * Fraction(rng.randint(9, 16), 16))
+    limit = costs[0] + rng.choice((0, 1))
+    if rng.random() < 0.5:
+        costs, limit = [c / 3 for c in costs], limit / 3
+    density = rng.choice((0.5, 0.9))
+    edges = tuple(
+        (u, v, 1) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    )
+    return QkpInstance(n=n, cost=tuple(costs), vprofit=(0,) * n, edges=edges, limit=limit)
+
+
 def rational_cost_instance(seed: int) -> QkpInstance:
     """Seeded instance with rational costs and limit: denominators 2, 3, 7
     and 21, costs on powers of two and below 1, and Fraction edge profits."""

@@ -22,8 +22,15 @@ from helpers import (
     sub_edge_count,
     subinstance_as_qkp,
     subinstance_count_bound,
+    tail_instance,
 )
-from qkpapprox.classsolvers import replicate, solve_class3, solve_class4, solve_class5
+from qkpapprox.classsolvers import (
+    replicate,
+    solve_class2,
+    solve_class3,
+    solve_class4,
+    solve_class5,
+)
 from qkpapprox.cli import main
 from qkpapprox.decompose import decompose
 from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, UGraph, solve_dks
@@ -141,7 +148,24 @@ def test_criterion_4_decomposition_soundness():
 
 
 def test_criterion_5_class_level_bounds():
-    """100 conforming sub-instances per class with exact DkS: stated ratios."""
+    """Stated ratios: every overflowing class-2 sub-instance of 40
+    tail_instance draws, and 100 conforming sub-instances per class 3-5
+    with exact DkS."""
+    rng = random.Random(5)
+    checked2 = 0
+    for _ in range(40):
+        for sub in decompose(prepare(tail_instance(rng))):
+            overflows = sum(sub.cost_units[v] for v in sub.vertices) > sub.limit_units
+            if sub.class_tag != 2 or not overflows:
+                continue
+            out = solve_class2(sub)
+            assert out.case == "tail_split"
+            assert sub_cost(sub, out.vertices) <= sub.scaled_limit
+            alg = sub_edge_count(sub, out.vertices)
+            assert 21 * alg >= len(sub.edges), f"class 2 ratio violated (alg={alg})"
+            checked2 += 1
+    assert checked2 == 15  # the rest fit whole and never reach solve_class2
+
     rng = random.Random(505)
     checked3 = 0
     while checked3 < 100:
@@ -188,7 +212,11 @@ def test_criterion_5_class_level_bounds():
             continue
         assert 16 * alg >= opt, f"class 5 ratio violated (opt={opt}, alg={alg})"
         checked5 += 1
-    _passed(5, "class 3 >= OPT/10, class 4 >= OPT/16, class 5 case 2 >= OPT/16 (100 each)")
+    _passed(
+        5,
+        f"class 2 keeps >= 1/21 of its edges ({checked2}), class 3 >= OPT/10, "
+        "class 4 >= OPT/16, class 5 case 2 >= OPT/16 (100 each)",
+    )
 
 
 def test_criterion_6_replication_inequality():

@@ -2,12 +2,14 @@
 
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    anchored_instance,
     random_class3_sub,
     reference_feasible_b_subsets,
     random_class4_sub,
@@ -23,17 +25,18 @@ from qkpapprox.classsolvers import (
     _adj_sets,
     _degree_select,
     _feasible_b_subsets,
-    _fit_to_limit,
     replicate,
     solve_class2,
     solve_class3,
     solve_class4,
     solve_class5,
 )
+from qkpapprox.decompose import decompose
 from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, DksBackend, UGraph
 from qkpapprox.instance import QkpInstance
 from qkpapprox.oracle import exact_qkp
 from qkpapprox.orchestrator import SolveConfig, solve
+from qkpapprox.preprocess import prepare
 
 
 def make_sub(class_tag, costs, edges, limit, part_a=None, part_b=None, d=None):
@@ -400,22 +403,40 @@ def test_feasible_b_subsets_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_fit_to_limit_trims_at_the_unit_boundary():
-    # three costs of 1/2 against a limit of 1: one unit over, so exactly the
-    # lowest-ranked light pick goes; with a limit of 3/2 nothing does
-    over = make_sub(4, [Fraction(1, 2)] * 3, [], limit=1, part_a=(0, 1), part_b=(2,), d=1)
-    assert _fit_to_limit(over, [0, 1], [2]) == ([0], [2], True)
-    fits = make_sub(4, [Fraction(1, 2)] * 3, [], limit=Fraction(3, 2), part_a=(0, 1), part_b=(2,), d=1)
-    assert _fit_to_limit(fits, [0, 1], [2]) == ([0, 1], [2], False)
-
-
-def test_degree_select_ranks_the_pool_and_trims_light_first():
+def test_degree_select_ranks_the_pool():
     # vertex 0 has the most degree into the heavy pick 2, but only 1 is in
-    # the pool; with both light picks the three costs of 1/2 overflow a
-    # limit of 1, and the lowest-ranked light pick goes
+    # the pool
     sub = make_sub(4, [Fraction(1, 2)] * 3, [(0, 2)], limit=1, part_a=(0, 1), part_b=(2,), d=1)
-    adj = _adj_sets(sub)
-    assert _degree_select(sub, adj, [2], (1,), 1) == ((1, 2), ())
-    assert _degree_select(sub, adj, [2], (0, 1), 2) == (
-        (0, 2), ("trimmed_for_feasibility",)
-    )
+    assert _degree_select(_adj_sets(sub), [2], (1,), 1) == (1, 2)
+
+
+def test_degree_selection_fits_by_construction_on_decomposed_instances():
+    """Instances at the edge of the fit arguments (helpers.anchored_instance),
+    both backends: no class 2-5 candidate is infeasible, and every class-4
+    main and class-5 case1/case2 record picks at most floor(L/4d) heavy
+    vertices and at most m_a light ones, the counts its solver's docstring
+    bounds the cost with (m_a is ceil(|A|/4) in class 4, floor(L/4) in
+    class 5)."""
+    rng = random.Random(1)
+    seen = Counter()
+    for trial in range(300):
+        inst = anchored_instance(rng)
+        prep = prepare(inst)
+        subs = decompose(prep)
+        for backend in ("greedy", "exact"):
+            _, report = solve(inst, SolveConfig(dks_backend=backend))
+            # one record per sub-instance, in decompose order, then the scan
+            for sub, rec in zip(subs[1:], report.records[1:]):
+                where = (trial, backend, sub.class_tag, rec.case)
+                assert rec.feasible, where
+                if rec.case not in ("main", "case1", "case2"):
+                    continue
+                seen[rec.case] += 1
+                num, den = sub.limit_ratio()
+                chosen = set(rec.vertices)
+                heavy = sum(prep.orig_of[b] in chosen for b in sub.part_b)
+                light = sum(prep.orig_of[a] in chosen for a in sub.part_a)
+                m_a = -(-len(sub.part_a) // 4) if sub.class_tag == 4 else num // (4 * den)
+                assert heavy <= num // (4 * den * int(sub.d_gap)), where
+                assert light <= m_a, where
+    assert all(seen[case] > 0 for case in ("main", "case1", "case2")), seen
