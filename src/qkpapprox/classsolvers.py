@@ -15,6 +15,7 @@ toward the smaller vertex id so outputs are deterministic.
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .decompose import SubInstance
 from .dks import GREEDY_BACKEND, DksBackend, UGraph, solve_dks
@@ -29,8 +30,7 @@ REPLICATION_CAP = 200_000
 ENUM_COMBO_CAP = 50_000
 
 
-@dataclass(frozen=True)
-class ClassOutcome:
+class ClassOutcome(NamedTuple):
     vertices: tuple[int, ...]
     case: str
     fallbacks: tuple[str, ...] = ()

@@ -24,16 +24,14 @@ solvers add and compare ints.  Scaled values are derived views, and
 thresholds come from the integer pair limit_ratio().
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .preprocess import PreparedInstance
 from .rational import Rational, as_rational, pow2, rational_to_json
 
 
-@dataclass(frozen=True)
-class SubInstance:
+class SubInstance(NamedTuple):
     """One class-tagged restricted problem over reduced vertex ids.
 
     vertices lists all members, sorted, and edges the sorted (u, v) pairs
@@ -44,6 +42,7 @@ class SubInstance:
     cost_units[v] / (den * cost_scale), cost_scale = 2**scale_exp.
     buckets: (i, i) for classes 2/3, (tail, i) for class 4, and (i, j)
     with i < j for class 5 (part_a lives in bucket j, part_b in i).
+    A NamedTuple, so immutable and cheap to build, one per cell.
     """
 
     class_tag: int
@@ -101,31 +100,33 @@ def decompose(prep: PreparedInstance) -> list[SubInstance]:
     """All sub-instances of the prepared instance, class 1 first.
 
     Only occupied (bucket pair, level) cells produce a sub-instance, so
-    the count stays within 2*(log2 n + 1)^3 + 1.
+    the count stays within 2*(log2 n + 1)^3 + 1.  One pass over the
+    reduced edges groups them by cell.
     """
     inst = prep.reduced
     l = prep.l_buckets
     k = prep.k_exp
     tail = l + 1
-    units = {"cost_units": prep.cost_units, "limit_units": prep.limit_units, "den": prep.den}
+    bucket = [prep.bucket_of[v] for v in range(inst.n)]
+    shared = (prep.cost_units, prep.limit_units, prep.den)
 
-    subs = [
-        SubInstance(
-            class_tag=1,
-            vertices=tuple(range(inst.n)),
-            edges=(),
-            **units,
-        )
-    ]
+    subs = [SubInstance(1, tuple(range(inst.n)), (), *shared)]
 
     cells: dict[tuple[int, int, Rational], list[tuple[int, int]]] = {}
+    get = cells.get
     for u, v, p in inst.edges:
-        bu, bv = prep.bucket_of[u], prep.bucket_of[v]
+        bu, bv = bucket[u], bucket[v]
         key = (bu, bv, p) if bu <= bv else (bv, bu, p)
-        cells.setdefault(key, []).append((u, v))
+        cell = get(key)
+        if cell is None:
+            cells[key] = [(u, v)]
+        else:
+            cell.append((u, v))
 
-    for (b_lo, b_hi, level) in sorted(cells):
-        edges = tuple(sorted(cells[(b_lo, b_hi, level)]))
+    for key in sorted(cells):
+        b_lo, b_hi, level = key
+        edges = cells[key]
+        edges.sort()
         members = tuple(sorted({w for e in edges for w in e}))
         part_a = part_b = d_gap = None
         if b_lo == tail:  # both tail
@@ -138,20 +139,12 @@ def decompose(prep: PreparedInstance) -> list[SubInstance]:
             tag = 4 if b_hi == tail else 5
             exp, d_gap = k - j, pow2(j - b_lo)
             buckets = (tail, b_lo) if tag == 4 else (b_lo, b_hi)
-            part_a = tuple(v for v in members if prep.bucket_of[v] == b_hi)
-            part_b = tuple(v for v in members if prep.bucket_of[v] == b_lo)
+            part_a = tuple([v for v in members if bucket[v] == b_hi])
+            part_b = tuple([v for v in members if bucket[v] == b_lo])
         subs.append(
             SubInstance(
-                class_tag=tag,
-                vertices=members,
-                edges=edges,
-                scale_exp=exp,
-                part_a=part_a,
-                part_b=part_b,
-                profit_level=level,
-                buckets=buckets,
-                d_gap=d_gap,
-                **units,
+                tag, members, tuple(edges), *shared,
+                exp, part_a, part_b, level, buckets, d_gap,
             )
         )
     return subs

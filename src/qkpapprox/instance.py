@@ -91,6 +91,9 @@ def evaluate(inst: QkpInstance, subset: Iterable[int]) -> tuple[Rational, Ration
 
     Profit is the sum of vertex profits plus profits of edges with both
     endpoints selected.  Raises ValueError on an invalid vertex id.
+    Each edge is visited from its lower endpoint only: the sorted
+    adjacency row is read from its largest neighbour down, to the first
+    one below the vertex.
     """
     chosen = frozenset(subset)
     for v in chosen:
@@ -100,8 +103,10 @@ def evaluate(inst: QkpInstance, subset: Iterable[int]) -> tuple[Rational, Ration
     profit = sum((inst.vprofit[v] for v in chosen), 0)
     adj = inst.adjacency()
     for u in chosen:
-        for v, p in adj[u]:
-            if v > u and v in chosen:
+        for v, p in reversed(adj[u]):
+            if v < u:
+                break
+            if v in chosen:
                 profit += p
     return cost, profit
 

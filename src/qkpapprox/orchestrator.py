@@ -10,10 +10,10 @@ of the candidates' profit bounds; candidates are evaluated in bound order.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 from .classsolvers import (
     ClassOutcome,
@@ -54,8 +54,7 @@ class SolveConfig:
         return get_backend(self.dks_backend)
 
 
-@dataclass(frozen=True)
-class SubRecord:
+class SubRecord(NamedTuple):
     """One candidate: which sub-instance (or the fallback scan) produced it.
 
     vertices is the candidate lifted to original ids, always-include
@@ -63,6 +62,7 @@ class SubRecord:
     instance's limit.  Only size is derived, as len(vertices); to_json_obj
     evaluates cost and profit on the original instance, so a candidate
     that cannot win is never evaluated unless its record is serialised.
+    The repr leaves out the instance.
     """
 
     class_tag: int  # 0 marks the singleton/edge-pair fallback scan
@@ -70,7 +70,14 @@ class SubRecord:
     fallbacks: tuple[str, ...]
     vertices: tuple[int, ...]
     feasible: bool
-    instance: QkpInstance = field(repr=False)
+    instance: QkpInstance
+
+    def __repr__(self) -> str:
+        return (
+            f"SubRecord(class_tag={self.class_tag!r}, case={self.case!r}, "
+            f"fallbacks={self.fallbacks!r}, vertices={self.vertices!r}, "
+            f"feasible={self.feasible!r})"
+        )
 
     @property
     def size(self) -> int:
@@ -145,8 +152,8 @@ def _solve_sub(sub, reduced, backend, cfg):
         items = list(zip(reduced.cost, reduced.vprofit))
         picked = knapsack_fptas(items, reduced.limit, cfg.knapsack_eps)
         return ClassOutcome(tuple(sub.vertices[i] for i in picked), "knapsack")
-    if sum(sub.cost_units[v] for v in sub.vertices) <= sub.limit_units:
-        return ClassOutcome(tuple(sub.vertices), "sum_all")
+    if sum(map(sub.cost_units.__getitem__, sub.vertices)) <= sub.limit_units:
+        return ClassOutcome(sub.vertices, "sum_all")
     if sub.class_tag == 2:
         return solve_class2(sub)
     if sub.class_tag == 3:
@@ -177,7 +184,9 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     t0 = time.perf_counter()
     prep = prepare(inst)
     subs = decompose(prep)
-    always = prep.always_include
+    # always-include vertices cost 0 and orig_of holds only positive-cost
+    # ids, so the two parts of a lifted candidate are disjoint
+    always, orig_of = sorted(prep.always_include), prep.orig_of
     units, limit = prep.orig_cost_units, prep.limit_units
     vprofit, wdeg, maxp = inst.vprofit, prep.weighted_degree, prep.max_edge_profit
 
@@ -185,34 +194,19 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     ranked = []  # (B(S), S, class tag) of the feasible candidates, in solve order
     for sub in subs:
         outcome = _solve_sub(sub, prep.reduced, backend, cfg)
-        verts = tuple(sorted(always.union(prep.orig_of[r] for r in outcome.vertices)))
-        feasible = sum(units[v] for v in verts) <= limit
+        verts = tuple(sorted(always + [orig_of[r] for r in outcome.vertices]))
+        cap, cost, bound = len(verts) - 1, 0, 0
+        for v in verts:  # a plain loop: min() per vertex cost 5% on small solves
+            cost += units[v]
+            w, c = wdeg[v], cap * maxp[v]
+            bound += 2 * vprofit[v] + (w if w < c else c)
+        feasible = cost <= limit
         if feasible:
-            cap, bound = len(verts) - 1, 0
-            for v in verts:  # a plain loop: min() per vertex cost 5% on small solves
-                w, c = wdeg[v], cap * maxp[v]
-                bound += 2 * vprofit[v] + (w if w < c else c)
             ranked.append((bound, verts, sub.class_tag))
         records.append(
-            SubRecord(
-                class_tag=sub.class_tag,
-                case=outcome.case,
-                fallbacks=outcome.fallbacks,
-                vertices=verts,
-                feasible=feasible,
-                instance=inst,
-            )
+            SubRecord(sub.class_tag, outcome.case, outcome.fallbacks, verts, feasible, inst)
         )
-    records.append(
-        SubRecord(
-            class_tag=0,
-            case="singleton_pair_scan",
-            fallbacks=(),
-            vertices=prep.fallback[1],
-            feasible=True,
-            instance=inst,
-        )
-    )
+    records.append(SubRecord(0, "singleton_pair_scan", (), prep.fallback[1], True, inst))
 
     # stable, so equal vertex sets, which have equal bounds, keep solve order
     ranked.sort(key=itemgetter(0), reverse=True)

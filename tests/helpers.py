@@ -24,7 +24,7 @@ from qkpapprox.dks import UGraph
 from qkpapprox.instance import QkpInstance, Solution, evaluate
 from qkpapprox.orchestrator import RunReport, SubRecord, _beats
 from qkpapprox.preprocess import PreparedInstance, bucket_costs, prepare
-from qkpapprox.rational import as_rational, floor_log2, pow2, to_units
+from qkpapprox.rational import Rational, as_rational, floor_log2, pow2, to_units
 
 
 def brute_force_opt(inst: QkpInstance):
@@ -829,6 +829,64 @@ def reference_prepare(inst: QkpInstance) -> PreparedInstance:
         max_edge_profit=tuple(max(ps, default=0) for ps in incident),
         fallback=reference_fallback_scan(inst, always, base_profit, units, units[-1]),
     )
+
+
+def reference_decompose(prep: PreparedInstance) -> list[SubInstance]:
+    """decompose as it was before its one cell pass: buckets read from
+    prep.bucket_of per edge, a setdefault list per cell, each
+    sub-instance built by keyword."""
+    inst = prep.reduced
+    l = prep.l_buckets
+    k = prep.k_exp
+    tail = l + 1
+    units = {"cost_units": prep.cost_units, "limit_units": prep.limit_units, "den": prep.den}
+
+    subs = [
+        SubInstance(
+            class_tag=1,
+            vertices=tuple(range(inst.n)),
+            edges=(),
+            **units,
+        )
+    ]
+
+    cells: dict[tuple[int, int, Rational], list[tuple[int, int]]] = {}
+    for u, v, p in inst.edges:
+        bu, bv = prep.bucket_of[u], prep.bucket_of[v]
+        key = (bu, bv, p) if bu <= bv else (bv, bu, p)
+        cells.setdefault(key, []).append((u, v))
+
+    for (b_lo, b_hi, level) in sorted(cells):
+        edges = tuple(sorted(cells[(b_lo, b_hi, level)]))
+        members = tuple(sorted({w for e in edges for w in e}))
+        part_a = part_b = d_gap = None
+        if b_lo == tail:  # both tail
+            tag, exp, buckets = 2, 0, (tail, tail)
+        elif b_lo == b_hi:  # same non-tail bucket
+            tag, exp, buckets = 3, k - b_lo, (b_lo, b_hi)
+        else:  # bipartite: the lighter bucket b_hi is part_a
+            # class 4 (b_hi is the tail) scales the tail like bucket l
+            j = min(b_hi, l)
+            tag = 4 if b_hi == tail else 5
+            exp, d_gap = k - j, pow2(j - b_lo)
+            buckets = (tail, b_lo) if tag == 4 else (b_lo, b_hi)
+            part_a = tuple(v for v in members if prep.bucket_of[v] == b_hi)
+            part_b = tuple(v for v in members if prep.bucket_of[v] == b_lo)
+        subs.append(
+            SubInstance(
+                class_tag=tag,
+                vertices=members,
+                edges=edges,
+                scale_exp=exp,
+                part_a=part_a,
+                part_b=part_b,
+                profit_level=level,
+                buckets=buckets,
+                d_gap=d_gap,
+                **units,
+            )
+        )
+    return subs
 
 
 def reference_solve(inst: QkpInstance, cfg) -> tuple[Solution, RunReport]:

@@ -5,15 +5,17 @@ import random
 from fractions import Fraction
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_force_opt,
     profit_mass,
     qkp_instances,
+    reference_decompose,
     subinstance_as_qkp,
     subinstance_count_bound,
 )
-from qkpapprox.decompose import decompose
+from qkpapprox.decompose import SubInstance, decompose
 from qkpapprox.instance import QkpInstance
 from qkpapprox.preprocess import prepare
 from qkpapprox.rational import pow2
@@ -213,3 +215,64 @@ def test_debug_dump_shape():
     dump = [s.to_json_obj() for s in subs]
     assert dump[0]["class"] == 1
     assert all({"class", "vertices", "edge_count", "cost_scale"} <= set(d) for d in dump)
+
+
+def _assert_matches_reference(prep):
+    got, want = decompose(prep), reference_decompose(prep)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is SubInstance
+        for name in SubInstance._fields:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x == y and type(x) is type(y), name
+    return got
+
+
+# one anchor of cost 64 fixes k = 6; with n <= 15 vertices the tail holds
+# the costs <= 2^(6 - l) with l <= 4, so (0, 4] is always tail and
+# [17, 64] never is
+_TAIL_COSTS = st.builds(Fraction, st.integers(1, 12), st.just(3))
+_MID_COSTS = st.one_of(st.integers(17, 64), st.builds(Fraction, st.integers(34, 128), st.just(2)))
+
+
+@st.composite
+def _bucketed_instances(draw):
+    """An anchor, then zero-cost, tail and non-tail vertices, edges in a
+    shuffled order with either orientation, int and Fraction profits."""
+    costs = [64] + [
+        draw(st.one_of(st.just(0), _TAIL_COSTS, _MID_COSTS))
+        for _ in range(draw(st.integers(1, 14)))
+    ]
+    n = len(costs)
+    edges = [
+        (u, v, draw(st.sampled_from([1, 2, 3, 8, Fraction(1, 3), Fraction(5, 2)])))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if draw(st.integers(0, 99)) < 50
+    ]
+    edges = [(v, u, p) if draw(st.booleans()) else (u, v, p) for u, v, p in draw(st.permutations(edges))]
+    limit = draw(st.sampled_from([64, Fraction(129, 2), 100, Fraction(1000, 7)]))
+    return QkpInstance(n=n, cost=tuple(costs), vprofit=(0,) * n, edges=tuple(edges), limit=limit)
+
+
+@given(_bucketed_instances())
+@settings(max_examples=200, deadline=None)
+def test_one_cell_pass_matches_the_reference(inst):
+    _assert_matches_reference(prepare(inst))
+
+
+def test_one_cell_pass_reaches_every_class():
+    # vertices 0-1 in bucket 1, 2-3 in bucket 2, 4-6 in the tail and 7 of
+    # cost 0; the edges come in reverse order, some of them flipped
+    inst = QkpInstance(
+        n=8,
+        cost=(64, 64, 20, Fraction(61, 2), 1, Fraction(4, 3), 2, 0),
+        vprofit=(0,) * 8,
+        edges=tuple(reversed((
+            (0, 1, 8), (2, 3, 8), (0, 2, 8), (1, 3, Fraction(1, 3)),
+            (4, 5, 2), (6, 5, 2), (0, 4, 8), (7, 3, 1), (3, 6, 2),
+        ))),
+        limit=Fraction(201, 2),
+    )
+    subs = _assert_matches_reference(prepare(inst))
+    assert {s.class_tag for s in subs} == {1, 2, 3, 4, 5}

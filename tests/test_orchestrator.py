@@ -20,7 +20,8 @@ from helpers import (
     ungated_best,
 )
 from qkpapprox import orchestrator, random_instance
-from qkpapprox.decompose import decompose
+from qkpapprox.classsolvers import ClassOutcome
+from qkpapprox.decompose import SubInstance, decompose
 from qkpapprox.dks import DksBackend, dks_exact, dks_greedy_peel
 from qkpapprox.instance import QkpInstance, evaluate
 from qkpapprox.orchestrator import (
@@ -292,3 +293,49 @@ def test_fitting_class4_sub_is_not_enumerated():
     assert not any("enum_b4_capped" in rec.fallbacks for rec in report.records)
     assert {rec.case for rec in report.records if rec.class_tag == 4} == {"sum_all"}
 
+
+
+def test_records_are_immutable_tuples():
+    inst = random_instance(12, 0.5, 20, 20, "1/2", seed=3)
+    _, report = solve(inst)
+    records = (decompose(prepare(inst))[-1], ClassOutcome((0,), "knapsack"), report.records[0])
+    for rec, cls in zip(records, (SubInstance, ClassOutcome, orchestrator.SubRecord)):
+        assert type(rec) is cls and isinstance(rec, tuple)
+        for name in (rec._fields[0], rec._fields[-1], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+    # the record's repr leaves out the instance it points at
+    rec = report.records[-1]
+    assert repr(rec) == (
+        f"SubRecord(class_tag=0, case='singleton_pair_scan', fallbacks=(), "
+        f"vertices={rec.vertices!r}, feasible=True)"
+    )
+
+
+@st.composite
+def _zero_cost_instances(draw):
+    """rational_instances with exactly 1-3 zero-cost vertices, so every
+    candidate carries a non-empty always-include set."""
+    inst = draw(rational_instances())
+    zeros = draw(st.sets(st.integers(0, inst.n - 1), min_size=1, max_size=3))
+    cost = tuple(0 if v in zeros else (c or 1) for v, c in enumerate(inst.cost))
+    return QkpInstance(inst.n, cost, inst.vprofit, inst.edges, inst.limit)
+
+
+@given(_zero_cost_instances(), st.sampled_from(["greedy", "exact"]))
+@settings(max_examples=150, deadline=None)
+def test_lift_is_sorted_and_holds_the_always_include_set(inst, backend):
+    cfg = SolveConfig(dks_backend=backend)
+    sol, report = solve(inst, cfg)
+    always = prepare(inst).always_include
+    assert 1 <= len(always) <= 3
+    for rec in report.records:
+        assert all(a < b for a, b in zip(rec.vertices, rec.vertices[1:]))
+        assert always <= set(rec.vertices)
+    # reference_solve lifts by a frozenset union
+    ref_sol, ref_report = reference_solve(inst, cfg)
+    assert sol == ref_sol
+    assert report.records == ref_report.records
+    assert report.to_json_obj(include_timing=False) == ref_report.to_json_obj(
+        include_timing=False
+    )
