@@ -143,6 +143,8 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 0:
+        return _fail(f"--trials must be >= 0, got {args.trials}", 2)
     try:
         lo, hi = _parse_n_range(args.n_range)
         cfg = SolveConfig(dks_backend=args.dks, knapsack_eps=args.eps)

@@ -20,6 +20,38 @@ def _max_n(override):
         raise ValueError(f"{ENV_MAX_N} must be an integer, got {text!r}") from None
 
 
+def _greedy_profit(cost, limit, vprofit, later) -> int:
+    """Profit of a feasible set filled greedily, in the walk's units.
+
+    Each step takes the untaken vertex that fits the capacity left and has
+    the largest marginal profit (its vertex profit plus its edge profits to
+    the vertices taken) per unit of cost: zero costs first, ratios compared
+    by cross-multiplication, ties to the smaller id.  A vertex that does
+    not fit stops fitting for good, since the capacity left only shrinks.
+    """
+    gain = list(vprofit)
+    adj = [[] for _ in gain]
+    for u, nbrs in enumerate(later):
+        for v, p in nbrs:
+            adj[u].append((v, p))
+            adj[v].append((u, p))
+    room = limit
+    profit = 0
+    free = [j for j, c in enumerate(cost) if c <= room]
+    while free:
+        best = free[0]
+        for j in free:
+            c, cb = cost[j], cost[best]
+            if cb and (not c or gain[j] * cb > gain[best] * c):
+                best = j
+        room -= cost[best]
+        profit += gain[best]
+        for u, p in adj[best]:
+            gain[u] += p
+        free = [j for j in free if j != best and cost[j] <= room]
+    return profit
+
+
 def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     """Optimal feasible vertex set by branch and bound.
 
@@ -45,11 +77,22 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
       the break item's fraction rounded up, bounds that sum.  Profits are
       ints, so P plus the LP bound halved and floored bounds the completion.
 
-    A node is pruned when a bound is <= the best profit found.  Both bounds
-    are valid, and every profit found before the first optimum in DFS
-    order is below the optimum, so no node on that optimum's path is
-    pruned: the walk returns it, the same set as under any other valid
-    bound.  Raises CapacityError when n exceeds the size guard (default 22,
+    The walk starts from a greedy lower bound, not from 0, as exact QKP
+    codes do (Caprara, Pisinger & Toth 1999).  start, the profit of the
+    feasible set _greedy_profit fills, is at most OPT; the best profit
+    begins at max(start - 1, 0), with the empty set as the best set.  A
+    node is pruned when a bound is <= the best profit, and it replaces the
+    best set only when its profit is above the best profit.  If OPT = 0,
+    the walk is the walk from 0.  Otherwise every node on the path to the
+    first optimum in DFS order has a bound of at least OPT > max(start - 1,
+    0), and every profit found before that optimum is below OPT, so the
+    best profit stays below OPT until the optimum is reached and no node on
+    its path is pruned; later ties do not replace it.  So the walk returns
+    the same set as a walk from 0 under any other valid bound.  Starting
+    from start itself, or with the greedy set as the best set, could return
+    another optimum or none.
+
+    Raises CapacityError when n exceeds the size guard (default 22,
     overridable via the QKP_ORACLE_MAX_N env var).
     """
     guard = _max_n(max_n)
@@ -85,7 +128,7 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     # a fitting vertex costs at most the limit, so (w << shift) // c orders
     # exactly like w / c, as in knapsack._ratio_order
     shift = 2 * limit.bit_length()
-    best_profit = 0
+    best_profit = max(_greedy_profit(cost, limit, vprofit, later) - 1, 0)
     best_set: tuple[int, ...] = ()
     chosen: list[int] = []
     # nodes (i, cost, profit, reach), where reach is the profit of edges

@@ -281,6 +281,13 @@ def test_bench_zero_trials(tmp_path, capsys):
     assert "ratio" in out  # header only
 
 
+def test_bench_negative_trials_is_a_usage_error(capsys):
+    assert main(["bench", "--trials", "-2", "--n-range", "6:8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --trials")
+
+
 def test_bench_rows_and_json(tmp_path, capsys):
     json_out = tmp_path / "bench.json"
     code = main([

@@ -11,7 +11,7 @@ from helpers import brute_force_opt, reference_exact_qkp
 from qkpapprox import random_instance
 from qkpapprox.errors import CapacityError
 from qkpapprox.instance import QkpInstance
-from qkpapprox.oracle import exact_qkp
+from qkpapprox.oracle import _greedy_profit, exact_qkp
 
 
 def test_triangle_limit_two():
@@ -73,6 +73,23 @@ def test_tighter_bound_keeps_the_first_optimum(seed):
                 seed=rng.randrange(2**32),
             )
             assert exact_qkp(inst) == reference_exact_qkp(inst)
+
+
+def test_greedy_start_keeps_the_first_optimum_on_a_tie():
+    # the greedy fill takes vertex 2 (the one positive marginal profit),
+    # then 3: {2, 3} at profit 6.  {0, 1} ties it and comes first in DFS
+    # order, so the walk must return {0, 1}, as a walk from 0 does, not
+    # the greedy set or no set
+    inst = QkpInstance(
+        n=4, cost=(1, 1, 1, 1), vprofit=(0, 0, 1, 0),
+        edges=((0, 1, 6), (2, 3, 5)), limit=2,
+    )
+    assert _greedy_profit([1, 1, 1, 1], 2, [0, 0, 1, 0], [[(1, 6)], [], [(3, 5)], []]) == 6
+    sol = exact_qkp(inst)
+    ref = reference_exact_qkp(inst)
+    assert sol == ref
+    assert repr(sol) == repr(ref)
+    assert sol.vertices == (0, 1)
 
 
 def _rationals(max_value):
