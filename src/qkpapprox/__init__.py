@@ -18,7 +18,7 @@ from .dks import (
     get_backend,
     solve_dks,
 )
-from .errors import CapacityError
+from .errors import CapacityError, InvalidInstanceError
 from .generate import random_instance
 from .instance import (
     QkpInstance,
@@ -27,7 +27,6 @@ from .instance import (
     instance_from_json_obj,
     instance_to_json_obj,
     load_instance,
-    validate,
 )
 from .knapsack import knapsack_fptas
 from .oracle import exact_qkp

@@ -14,14 +14,13 @@ from fractions import Fraction
 
 from .decompose import decompose
 from .dks import get_backend
-from .errors import CapacityError
+from .errors import CapacityError, InvalidInstanceError
 from .generate import random_instance
 from .instance import (
     dumps_canonical,
     evaluate,
     instance_to_json_obj,
     load_instance,
-    validate,
 )
 from .knapsack import DEFAULT_KNAPSACK_EPS
 from .oracle import exact_qkp
@@ -52,15 +51,13 @@ def _fail(message: str, code: int) -> int:
 
 def _load_valid(path: str):
     """(instance, None), or (None, why) when the file at path does not
-    read, parse or validate."""
+    read, parse or hold a valid instance."""
     try:
-        inst = load_instance(path)
+        return load_instance(path), None
+    except InvalidInstanceError as exc:
+        return None, str(exc)
     except (OSError, ValueError) as exc:
         return None, f"cannot read instance: {exc}"
-    problems = validate(inst)
-    if problems:
-        return None, "invalid instance: " + "; ".join(problems)
-    return inst, None
 
 
 def _solve_one(input_path: str, output_path: str | None, args) -> int:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import InvalidInstanceError
 from .rational import Rational, as_rational, rational_from_json, rational_to_json
 
 Edge = tuple[int, int, Rational]
@@ -20,8 +21,10 @@ Edge = tuple[int, int, Rational]
 class QkpInstance:
     """A QKP instance: vertex costs/profits, weighted edges, cost limit.
 
-    Edges are stored with u < v; there are no self-loops or duplicates in a
-    valid instance (see validate).  Instances are immutable.
+    Valid by construction: the constructor stores exact rationals and
+    edges with u < v, and raises InvalidInstanceError (a ValueError) unless
+    there are n costs and profits, all nonnegative as is the limit, and the
+    edges form a simple graph on the int ids 0..n-1.  Instances are immutable.
     """
 
     n: int
@@ -31,31 +34,60 @@ class QkpInstance:
     limit: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "cost", tuple(as_rational(c) for c in self.cost))
-        object.__setattr__(self, "vprofit", tuple(as_rational(p) for p in self.vprofit))
-        canon = []
+        n = self.n
+        if type(n) is not int:
+            raise InvalidInstanceError(f"invalid instance: expected an integer n, got {n!r}")
+        cost = tuple(c if type(c) is int else as_rational(c) for c in self.cost)
+        vprofit = tuple(p if type(p) is int else as_rational(p) for p in self.vprofit)
+        limit = as_rational(self.limit)
+        problems = []
+        if n < 0:
+            problems.append(f"negative vertex count {n}")
+        if len(cost) != n:
+            problems.append(f"expected {n} costs, got {len(cost)}")
+        if len(vprofit) != n:
+            problems.append(f"expected {n} vertex profits, got {len(vprofit)}")
+        problems += [f"negative cost at vertex {i}" for i, c in enumerate(cost) if c < 0]
+        problems += [f"negative vertex profit at vertex {i}"
+                     for i, p in enumerate(vprofit) if p < 0]
+        if limit < 0:
+            problems.append("negative cost limit")
+        edges = []
+        seen = set()  # u * n + v of each in-range edge: one int per pair
         for u, v, p in self.edges:
+            if type(p) is not int:
+                p = as_rational(p)
+            if type(u) is not int or type(v) is not int:
+                problems.append(f"edge ({u!r},{v!r}): expected an integer endpoint")
+                continue
             if v < u:
                 u, v = v, u
-            canon.append((u, v, as_rational(p)))
-        object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "limit", as_rational(self.limit))
-        object.__setattr__(self, "_adj", None)
+            if not 0 <= u < v < n:
+                problems.append(f"self-loop at vertex {u}" if u == v else
+                                f"edge ({u},{v}) has an out-of-range endpoint")
+                continue
+            key = u * n + v
+            if key in seen:
+                problems.append(f"duplicate edge ({u},{v})")
+            seen.add(key)
+            if p < 0:
+                problems.append(f"negative profit on edge ({u},{v})")
+            edges.append((u, v, p))
+        if problems:
+            raise InvalidInstanceError("invalid instance: " + "; ".join(problems))
+        # frozen: the fields are set through the instance dict
+        vars(self).update(cost=cost, vprofit=vprofit, edges=tuple(edges), limit=limit, _adj=None)
 
     @classmethod
     def from_canonical(cls, n, cost, vprofit, edges, limit) -> "QkpInstance":
         """An instance from fields already in the form __post_init__ leaves
         them: tuples of ints and non-integral Fractions, edges with u < v.
 
-        Nothing is checked or converted, so the data must come from a
-        valid instance (prepare's reduced instance does).
+        The only path that skips the constructor's check, so only for data
+        derived from a checked instance (prepare's reduced instance is).
         """
         inst = object.__new__(cls)
-        for name, value in (
-            ("n", n), ("cost", cost), ("vprofit", vprofit), ("edges", edges),
-            ("limit", limit), ("_adj", None),
-        ):
-            object.__setattr__(inst, name, value)
+        vars(inst).update(n=n, cost=cost, vprofit=vprofit, edges=edges, limit=limit, _adj=None)
         return inst
 
     def adjacency(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
@@ -63,9 +95,8 @@ class QkpInstance:
         if self._adj is None:
             nbrs: list[list[tuple[int, Rational]]] = [[] for _ in range(self.n)]
             for u, v, p in self.edges:
-                if 0 <= u < self.n and 0 <= v < self.n and u != v:
-                    nbrs[u].append((v, p))
-                    nbrs[v].append((u, p))
+                nbrs[u].append((v, p))
+                nbrs[v].append((u, p))
             object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in nbrs))
         return self._adj
 
@@ -111,39 +142,6 @@ def evaluate(inst: QkpInstance, subset: Iterable[int]) -> tuple[Rational, Ration
     return cost, profit
 
 
-def validate(inst: QkpInstance) -> list[str]:
-    """All invariant violations of the instance; empty list means ok."""
-    problems = []
-    if inst.n < 0:
-        problems.append(f"negative vertex count {inst.n}")
-    if len(inst.cost) != inst.n:
-        problems.append(f"expected {inst.n} costs, got {len(inst.cost)}")
-    if len(inst.vprofit) != inst.n:
-        problems.append(f"expected {inst.n} vertex profits, got {len(inst.vprofit)}")
-    for i, c in enumerate(inst.cost):
-        if c < 0:
-            problems.append(f"negative cost at vertex {i}")
-    for i, p in enumerate(inst.vprofit):
-        if p < 0:
-            problems.append(f"negative vertex profit at vertex {i}")
-    if inst.limit < 0:
-        problems.append("negative cost limit")
-    n = inst.n
-    seen = set()  # u * n + v of each in-range edge: one int per ordered pair
-    for u, v, p in inst.edges:
-        if not (0 <= u < v < n or 0 <= v < u < n):
-            problems.append(f"self-loop at vertex {u}" if u == v else
-                            f"edge ({u},{v}) has an out-of-range endpoint")
-            continue
-        key = u * n + v
-        if key in seen:
-            problems.append(f"duplicate edge ({u},{v})")
-        seen.add(key)
-        if p < 0:
-            problems.append(f"negative profit on edge ({u},{v})")
-    return problems
-
-
 def instance_to_json_obj(inst: QkpInstance) -> dict:
     return {
         "n": inst.n,
@@ -154,26 +152,19 @@ def instance_to_json_obj(inst: QkpInstance) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
 def instance_from_json_obj(obj: dict) -> QkpInstance:
+    """ValueError on a malformed document, InvalidInstanceError on an invalid instance."""
     try:
-        return QkpInstance(
-            n=_json_int(obj["n"]),
+        fields = dict(
+            n=obj["n"],
             cost=tuple(rational_from_json(c) for c in obj["costs"]),
             vprofit=tuple(rational_from_json(p) for p in obj["vertex_profits"]),
-            edges=tuple(
-                (_json_int(e[0]), _json_int(e[1]), rational_from_json(e[2]))
-                for e in obj["edges"]
-            ),
+            edges=tuple((e[0], e[1], rational_from_json(e[2])) for e in obj["edges"]),
             limit=rational_from_json(obj["limit"]),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
+    return QkpInstance(**fields)
 
 
 def dumps_canonical(obj) -> str:

@@ -107,8 +107,7 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     # later[i]: (neighbour, edge profit) for the neighbours of i above i
     later = [[] for _ in range(n)]
     for (u, v, _), p in zip(inst.edges, units[n:]):
-        if 0 <= u < v < n:
-            later[u].append((v, p))
+        later[u].append((v, p))
     # forward[i]: profits of edges from i to higher vertices; suffix[i]:
     # vertex profits of i..n-1 plus the profits of edges with both ends >= i
     forward = [sum(p for _, p in nbrs) for nbrs in later]

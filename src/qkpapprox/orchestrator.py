@@ -24,7 +24,7 @@ from .classsolvers import (
 )
 from .decompose import decompose
 from .dks import DksBackend, get_backend
-from .instance import QkpInstance, Solution, evaluate, validate
+from .instance import QkpInstance, Solution, evaluate
 from .knapsack import DEFAULT_KNAPSACK_EPS, knapsack_fptas
 from .preprocess import _beats, prepare
 from .rational import Rational, as_rational, ceil_log2, rational_to_json
@@ -176,9 +176,6 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     vertex set, equal sets to the first in solve order, the scan last.
     """
     cfg = cfg or SolveConfig()
-    problems = validate(inst)
-    if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
     backend = cfg.backend()
 
     t0 = time.perf_counter()

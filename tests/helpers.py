@@ -946,8 +946,9 @@ def ungated_best(inst: QkpInstance, cfg):
 
 
 def reference_validate(inst: QkpInstance) -> list[str]:
-    """validate with (u, v) tuple keys for duplicates, as it was before its
-    edge loop keyed ints and tested the range first."""
+    """The problems QkpInstance's check finds in inst's fields, with (u, v)
+    tuple keys for duplicates, as the check was before its edge loop keyed
+    ints and tested the range first."""
     problems = []
     if inst.n < 0:
         problems.append(f"negative vertex count {inst.n}")

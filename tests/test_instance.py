@@ -1,5 +1,6 @@
 """Core data model: evaluation, feasibility, validation, JSON round trip."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from qkpapprox.instance import (
     instance_from_json_obj,
     instance_to_json_obj,
     load_instance,
-    validate,
 )
 from qkpapprox.orchestrator import solve
 
@@ -81,26 +81,51 @@ def test_empty_set_feasible_at_zero_limit():
 
 
 def test_validate_ok():
-    assert validate(triangle()) == []
+    assert triangle().edges == ((0, 1, 1), (1, 2, 1), (0, 2, 1))
 
 
 def test_validate_self_loop():
-    inst = QkpInstance(n=3, cost=(1, 1, 1), vprofit=(0, 0, 0), edges=((2, 2, 5),), limit=2)
-    assert any("self-loop" in v for v in validate(inst))
+    with pytest.raises(ValueError, match="self-loop"):
+        QkpInstance(n=3, cost=(1, 1, 1), vprofit=(0, 0, 0), edges=((2, 2, 5),), limit=2)
 
 
 def test_validate_negative_cost():
-    inst = QkpInstance(n=2, cost=(1, -1), vprofit=(0, 0), edges=(), limit=2)
-    assert any("negative cost" in v for v in validate(inst))
+    with pytest.raises(ValueError, match="negative cost"):
+        QkpInstance(n=2, cost=(1, -1), vprofit=(0, 0), edges=(), limit=2)
 
 
 def test_validate_duplicate_edge_and_bad_id():
-    inst = QkpInstance(
-        n=2, cost=(1, 1), vprofit=(0, 0), edges=((0, 1, 1), (1, 0, 2), (0, 5, 1)), limit=2
-    )
-    found = validate(inst)
-    assert any("duplicate" in v for v in found)
-    assert any("out-of-range" in v for v in found)
+    with pytest.raises(ValueError) as err:
+        QkpInstance(
+            n=2, cost=(1, 1), vprofit=(0, 0), edges=((0, 1, 1), (1, 0, 2), (0, 5, 1)), limit=2
+        )
+    found = str(err.value)
+    assert "duplicate" in found
+    assert "out-of-range" in found
+
+
+@pytest.mark.parametrize("n, edge", [
+    (2, (0.0, 1, 1)),
+    (2, (0, True, 1)),
+    (2.0, (0, 1, 1)),
+    (True, (0, 1, 1)),
+])
+def test_non_int_vertex_count_or_endpoint_rejected(n, edge):
+    # a float id would fail later as a list index, a bool would be kept
+    with pytest.raises(ValueError, match="invalid instance: .*expected an integer"):
+        QkpInstance(n=n, cost=(1, 1), vprofit=(0, 0), edges=(edge,), limit=2)
+
+
+def test_replace_checks_the_new_fields():
+    with pytest.raises(ValueError, match="invalid instance: negative cost limit"):
+        dataclasses.replace(triangle(), limit=-1)
+
+
+def test_json_negative_cost_is_invalid_not_malformed():
+    obj = {"n": 2, "limit": 3, "costs": [1, -1], "vertex_profits": [0, 0], "edges": []}
+    with pytest.raises(ValueError) as err:
+        instance_from_json_obj(obj)
+    assert str(err.value) == "invalid instance: negative cost at vertex 1"
 
 
 def test_edges_canonicalized_to_sorted_order():
@@ -206,10 +231,10 @@ def test_adjacency_degree():
 
 
 @st.composite
-def _malformed_instances(draw):
-    """Edges with self-loops, negative and out-of-range ids, duplicates in
-    either orientation and negative profits, some costs and vertex profits
-    negative; built unchecked, so edges may keep u > v."""
+def _malformed_fields(draw):
+    """Instance fields with self-loops, negative and out-of-range ids,
+    duplicates in either orientation and negative profits, some costs and
+    vertex profits negative."""
     n = draw(st.integers(0, 5))
     ids = st.integers(-2, n + 1)
     edges = tuple(
@@ -218,16 +243,26 @@ def _malformed_instances(draw):
     cost = tuple(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)))
     vprofit = tuple(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)))
     limit = draw(st.integers(-1, 5))
-    if draw(st.booleans()):
-        return QkpInstance.from_canonical(n, cost, vprofit, edges, limit)
-    return QkpInstance(n=n, cost=cost, vprofit=vprofit, edges=edges, limit=limit)
+    return dict(n=n, cost=cost, vprofit=vprofit, edges=edges, limit=limit)
 
 
-@given(_malformed_instances())
+@given(_malformed_fields())
 @settings(max_examples=300)
-# unchecked edges in both orientations are distinct pairs, not duplicates
-@example(QkpInstance.from_canonical(
-    3, (1, 1, 1), (0, 0, 0), ((0, 1, 1), (1, 0, 2), (2, 2, 1), (-1, 1, 0), (0, 1, -1)), 2
+# both orientations of a pair are one edge once canonicalised: a duplicate
+@example(dict(
+    n=3, cost=(1, 1, 1), vprofit=(0, 0, 0),
+    edges=((0, 1, 1), (1, 0, 2), (2, 2, 1), (-1, 1, 0), (0, 1, -1)), limit=2,
 ))
-def test_validate_messages_match_tuple_keyed_reference(inst):
-    assert validate(inst) == reference_validate(inst)
+def test_validate_messages_match_tuple_keyed_reference(fields):
+    # the reference reads the canonicalised fields, built unchecked
+    edges = tuple((min(u, v), max(u, v), p) for u, v, p in fields["edges"])
+    canon = QkpInstance.from_canonical(
+        fields["n"], fields["cost"], fields["vprofit"], edges, fields["limit"]
+    )
+    expected = reference_validate(canon)
+    if not expected:
+        assert QkpInstance(**fields) == canon
+        return
+    with pytest.raises(ValueError) as err:
+        QkpInstance(**fields)
+    assert str(err.value) == "invalid instance: " + "; ".join(expected)

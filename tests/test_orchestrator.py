@@ -75,9 +75,9 @@ def test_floor_values():
 
 
 def test_invalid_instance_rejected():
-    inst = QkpInstance(n=1, cost=(-1,), vprofit=(0,), edges=(), limit=1)
+    # the constructor refuses it, so solve never sees an invalid instance
     with pytest.raises(ValueError):
-        solve(inst)
+        QkpInstance(n=1, cost=(-1,), vprofit=(0,), edges=(), limit=1)
 
 
 def test_config_validation():
