@@ -76,7 +76,7 @@ class QkpInstance:
         if problems:
             raise InvalidInstanceError("invalid instance: " + "; ".join(problems))
         # frozen: the fields are set through the instance dict
-        vars(self).update(cost=cost, vprofit=vprofit, edges=tuple(edges), limit=limit, _adj=None)
+        vars(self).update(cost=cost, vprofit=vprofit, edges=tuple(edges), limit=limit, _rows=None)
 
     @classmethod
     def from_canonical(cls, n, cost, vprofit, edges, limit) -> "QkpInstance":
@@ -87,18 +87,18 @@ class QkpInstance:
         derived from a checked instance (prepare's reduced instance is).
         """
         inst = object.__new__(cls)
-        vars(inst).update(n=n, cost=cost, vprofit=vprofit, edges=edges, limit=limit, _adj=None)
+        vars(inst).update(n=n, cost=cost, vprofit=vprofit, edges=edges, limit=limit, _rows=None)
         return inst
 
-    def adjacency(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
-        """Per-vertex sorted (neighbor, edge profit) lists; O(deg) queries."""
-        if self._adj is None:
-            nbrs: list[list[tuple[int, Rational]]] = [[] for _ in range(self.n)]
+    def higher_neighbours(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
+        """Row u holds (v, p) for each edge (u, v, p) in edge order: each
+        edge is stored once, at its lower endpoint.  Built on first use."""
+        if self._rows is None:
+            rows = [[] for _ in range(self.n)]
             for u, v, p in self.edges:
-                nbrs[u].append((v, p))
-                nbrs[v].append((u, p))
-            object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in nbrs))
-        return self._adj
+                rows[u].append((v, p))
+            object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,7 @@ def evaluate(inst: QkpInstance, subset: Iterable[int]) -> tuple[Rational, Ration
 
     Profit is the sum of vertex profits plus profits of edges with both
     endpoints selected.  Raises ValueError on an invalid vertex id.
-    Each edge is visited from its lower endpoint only: the sorted
-    adjacency row is read from its largest neighbour down, to the first
-    one below the vertex.
+    Each edge is visited once, from its lower endpoint's row.
     """
     chosen = frozenset(subset)
     for v in chosen:
@@ -132,11 +130,9 @@ def evaluate(inst: QkpInstance, subset: Iterable[int]) -> tuple[Rational, Ration
             raise ValueError(f"invalid vertex id {v!r} for instance with n={inst.n}")
     cost = sum((inst.cost[v] for v in chosen), 0)
     profit = sum((inst.vprofit[v] for v in chosen), 0)
-    adj = inst.adjacency()
+    rows = inst.higher_neighbours()
     for u in chosen:
-        for v, p in reversed(adj[u]):
-            if v < u:
-                break
+        for v, p in rows[u]:
             if v in chosen:
                 profit += p
     return cost, profit
@@ -152,17 +148,27 @@ def instance_to_json_obj(inst: QkpInstance) -> dict:
     }
 
 
+def _array(value, what: str, size: int | None = None) -> list:
+    """value, when it is a JSON array (of size entries, if given)."""
+    if type(value) is not list or (size is not None and len(value) != size):
+        raise ValueError(f"expected {what}, got {value!r}")
+    return value
+
+
 def instance_from_json_obj(obj: dict) -> QkpInstance:
     """ValueError on a malformed document, InvalidInstanceError on an invalid instance."""
     try:
+        edges = (_array(e, "an edge [u, v, profit]", 3)
+                 for e in _array(obj["edges"], "an edge array"))
         fields = dict(
             n=obj["n"],
-            cost=tuple(rational_from_json(c) for c in obj["costs"]),
-            vprofit=tuple(rational_from_json(p) for p in obj["vertex_profits"]),
-            edges=tuple((e[0], e[1], rational_from_json(e[2])) for e in obj["edges"]),
+            cost=tuple(rational_from_json(c) for c in _array(obj["costs"], "a cost array")),
+            vprofit=tuple(rational_from_json(p) for p in
+                          _array(obj["vertex_profits"], "a vertex profit array")),
+            edges=tuple((u, v, rational_from_json(p)) for u, v, p in edges),
             limit=rational_from_json(obj["limit"]),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc
     return QkpInstance(**fields)
 

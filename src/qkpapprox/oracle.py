@@ -60,22 +60,23 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     alone, not by the interpreter's recursion limit.  Costs and the limit
     are scaled to ints by one factor, vertex and edge profits by another.
 
-    At depth i, with profit so far P and residual capacity R, two bounds
-    on the best completion are tried in turn:
-
-    - P plus the vertex profits of i..n-1, the profits of edges with both
-      ends >= i and those of edges from a chosen vertex to one >= i; every
-      other edge has an excluded end or is already counted.
-    - The upper planes (Gallo, Hammer & Simeone 1980): vertex j >= i is
-      worth w_j = 2 (p_j + back_j) + rem_j, with back_j its edge profit
-      to the chosen vertices and rem_j its edge profit to the vertices
-      >= i.  A set T of vertices >= i that fits R adds to P the sum over T
-      of p_j + back_j and T's induced edge profits; each induced edge is
-      counted in rem_j at both its ends, so T adds at most half the sum of
-      w_j over T.  Only vertices that fit R can be in T, and the Dantzig LP
-      bound of the knapsack on their w_j, filled in exact ratio order with
-      the break item's fraction rounded up, bounds that sum.  Profits are
-      ints, so P plus the LP bound halved and floored bounds the completion.
+    At depth i, with profit so far P and residual capacity R, one bound
+    on the best completion prunes, the upper planes (Gallo, Hammer &
+    Simeone 1980): vertex j >= i is worth w_j = 2 (p_j + back_j) + rem_j,
+    with back_j its edge profit to the chosen vertices and rem_j its edge
+    profit to the vertices >= i.  A set T of vertices >= i that fits R
+    adds to P the sum over T of p_j + back_j and T's induced edge profits;
+    each induced edge is counted in rem_j at both its ends, so T adds at
+    most half the sum of w_j over T.  Only vertices that fit R can be in
+    T, and the Dantzig LP bound of the knapsack on their w_j, filled in
+    exact ratio order, bounds that sum.  The break item's fraction is
+    rounded down, as in the knapsack module's Dantzig bound: T's gain is
+    an int at most LP / 2, so at most floor(LP / 2) = floor(floor(LP) / 2),
+    and P plus floor(LP) halved and floored bounds the completion.  The
+    sum of w_j over every j >= i is twice the vertex profits of i..n-1,
+    the profits of edges with both ends >= i and those of edges from a
+    chosen vertex to one >= i; the LP bound never exceeds it, so that
+    simpler bound would prune no node this one keeps.
 
     The walk starts from a greedy lower bound, not from 0, as exact QKP
     codes do (Caprara, Pisinger & Toth 1999).  start, the profit of the
@@ -108,12 +109,6 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     later = [[] for _ in range(n)]
     for (u, v, _), p in zip(inst.edges, units[n:]):
         later[u].append((v, p))
-    # forward[i]: profits of edges from i to higher vertices; suffix[i]:
-    # vertex profits of i..n-1 plus the profits of edges with both ends >= i
-    forward = [sum(p for _, p in nbrs) for nbrs in later]
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vprofit[i] + forward[i]
     # at depth i, for each j >= i: back[j] its edge profit to the chosen
     # vertices, rem[j] its edge profit to the vertices >= i
     back = [0] * n
@@ -130,10 +125,9 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     best_profit = max(_greedy_profit(cost, limit, vprofit, later) - 1, 0)
     best_set: tuple[int, ...] = ()
     chosen: list[int] = []
-    # nodes (i, cost, profit, reach), where reach is the profit of edges
-    # from chosen vertices to vertices >= i; an int i marks the end of
-    # vertex i's include branch, ~i the end of both its branches
-    stack: list = [(0, 0, 0, 0)]
+    # nodes (i, cost, profit); an int i marks the end of vertex i's
+    # include branch, ~i the end of both its branches
+    stack: list = [(0, 0, 0)]
     while stack:
         node = stack.pop()
         if type(node) is int:
@@ -145,11 +139,11 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
                 for u, p in later[~node]:
                     rem[u] += p
             continue
-        i, spent, profit, reach = node
+        i, spent, profit = node
         if profit > best_profit:
             best_profit = profit
             best_set = tuple(chosen)
-        if i == n or profit + suffix[i] + reach <= best_profit:
+        if i == n:
             continue
         room = limit - spent
         planes = 0
@@ -165,25 +159,22 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
         keyed.sort(reverse=True)
         for _, c, w in keyed:
             if c > room:
-                planes -= -w * room // c
+                planes += w * room // c
                 break
             room -= c
             planes += w
         if profit + planes // 2 <= best_profit:
             continue
-        b = back[i]
         for u, p in later[i]:
             rem[u] -= p
         stack.append(~i)
-        stack.append((i + 1, spent, profit, reach - b))
+        stack.append((i + 1, spent, profit))
         if spent + cost[i] <= limit:
             for u, p in later[i]:
                 back[u] += p
             chosen.append(i)
             stack.append(i)
-            stack.append(
-                (i + 1, spent + cost[i], profit + vprofit[i] + b, reach - b + forward[i])
-            )
+            stack.append((i + 1, spent + cost[i], profit + vprofit[i] + back[i]))
 
     total_cost, total_profit = evaluate(inst, best_set)
     return Solution(best_set, total_cost, total_profit)

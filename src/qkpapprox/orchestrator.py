@@ -35,8 +35,10 @@ class SolveConfig:
     """Tunables for one solve run.
 
     knapsack_eps passes through as_rational, so a "p/q" string is accepted
-    and a float raises TypeError.  Class 5's alpha is the backend's
-    declared_alpha: pass a DksBackend to set it.
+    and a float raises TypeError.  A backend name is resolved here, so an
+    unknown one raises ValueError; dks_backend then holds the DksBackend.
+    Class 5's alpha is the backend's declared_alpha: pass a DksBackend to
+    set it.
     """
 
     dks_backend: Union[str, DksBackend] = "greedy"
@@ -46,12 +48,10 @@ class SolveConfig:
         eps = as_rational(self.knapsack_eps)
         if not 0 < eps < 1:
             raise ValueError(f"knapsack_eps must be in (0,1), got {eps}")
-        object.__setattr__(self, "knapsack_eps", eps)
-
-    def backend(self) -> DksBackend:
-        if isinstance(self.dks_backend, DksBackend):
-            return self.dks_backend
-        return get_backend(self.dks_backend)
+        backend = self.dks_backend
+        if not isinstance(backend, DksBackend):
+            backend = get_backend(backend)
+        vars(self).update(dks_backend=backend, knapsack_eps=eps)
 
 
 class SubRecord(NamedTuple):
@@ -176,7 +176,7 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     vertex set, equal sets to the first in solve order, the scan last.
     """
     cfg = cfg or SolveConfig()
-    backend = cfg.backend()
+    backend = cfg.dks_backend
 
     t0 = time.perf_counter()
     prep = prepare(inst)

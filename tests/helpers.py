@@ -59,7 +59,10 @@ def reference_exact_qkp(inst: QkpInstance) -> Solution:
     tighter bound must return the same set.
     """
     n = inst.n
-    adj = inst.adjacency()
+    # edge profit from i to each lower neighbour, which may be included
+    lower = [[] for _ in range(n)]
+    for u, v, p in inst.edges:
+        lower[v].append((u, p))
     suffix_vp = [0] * (n + 1)
     suffix_ep = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -84,7 +87,7 @@ def reference_exact_qkp(inst: QkpInstance) -> Solution:
             return
         if cost + inst.cost[i] <= inst.limit:
             gain = inst.vprofit[i]
-            for u, p in adj[i]:
+            for u, p in lower[i]:
                 if included[u]:
                     gain += p
             included[i] = True
@@ -369,7 +372,7 @@ def sub_cost(sub: SubInstance, chosen) -> Fraction:
 
 
 def instance_degree(inst: QkpInstance, v: int) -> int:
-    return len(inst.adjacency()[v])
+    return sum(v in (a, b) for a, b, _ in inst.edges)
 
 
 def instance_total_profit(inst: QkpInstance):
@@ -892,7 +895,7 @@ def reference_decompose(prep: PreparedInstance) -> list[SubInstance]:
 def reference_solve(inst: QkpInstance, cfg) -> tuple[Solution, RunReport]:
     """solve with every feasible candidate evaluated, in solve order, and
     the fallback scan taken from the original edges; wall_ms is 0."""
-    backend = cfg.backend()
+    backend = cfg.dks_backend
     prep = prepare(inst)
     always = prep.always_include
     units, limit = prep.orig_cost_units, prep.limit_units
@@ -924,7 +927,7 @@ def ungated_best(inst: QkpInstance, cfg):
     whole): each candidate lifted to original ids with the always-include
     set, the best feasible one's original profit, the fallback scan
     included.  Every candidate is evaluated."""
-    backend = cfg.backend()
+    backend = cfg.dks_backend
     prep = prepare(inst)
     units, limit = prep.orig_cost_units, prep.limit_units
     best = prep.fallback[0]

@@ -122,6 +122,27 @@ def test_solve_invalid_instance(tmp_path):
     assert main(["solve", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("costs", "12"),
+    ("vertex_profits", "34"),
+    ("edges", [[0, 1, 3, 99]]),
+])
+def test_solve_and_verify_reject_a_non_array_field(tmp_path, capsys, field, value):
+    # a string is not read as a list of digits, nor an edge cut to 3 entries
+    obj = {"n": 2, "limit": 5, "costs": [1, 2], "vertex_profits": [3, 4], "edges": [[0, 1, 3]]}
+    obj[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"vertices": [0], "cost": 1, "profit": 3}')
+    assert main(["solve", "--input", str(bad)]) == 2
+    assert main(["verify", "--input", str(bad), "--solution", str(sol)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: cannot read instance: malformed instance document: ")
+               for line in err)
+
+
 def test_solve_rejects_non_integer_vertex_count(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 2.5, "limit": 4, "costs": [1, 1], "vertex_profits": [0, 0], "edges": []}')

@@ -147,11 +147,25 @@ def test_floats_rejected():
         QkpInstance(n=1, cost=(0.5,), vprofit=(0,), edges=(), limit=1)
 
 
-@given(qkp_instances(max_n=8))
-def test_profit_matches_brute_force_pair_sum(inst):
-    # cross-check evaluate against a raw scan over all vertex pairs
+@given(qkp_instances(max_n=8), st.randoms(use_true_random=False), st.integers(1, 6))
+def test_profit_matches_brute_force_pair_sum(drawn, rng, den):
+    # cross-check evaluate against a raw scan over all vertex pairs, on the
+    # drawn instance rebuilt with its edges shuffled, each pair's endpoints
+    # flipped at random and the edge profits divided by den
     import itertools
 
+    edges = []
+    for u, v, p in drawn.edges:
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append((u, v, Fraction(p, den)))
+    rng.shuffle(edges)
+    inst = dataclasses.replace(drawn, edges=tuple(edges))
+    # the rows hold inst.edges, each once, at its lower endpoint, in edge order
+    rows = inst.higher_neighbours()
+    assert len(rows) == inst.n
+    for u, row in enumerate(rows):
+        assert list(row) == [(v, p) for a, v, p in inst.edges if a == u]
     for r in (0, inst.n // 2, inst.n):
         for combo in itertools.islice(itertools.combinations(range(inst.n), r), 8):
             chosen = set(combo)

@@ -22,7 +22,7 @@ from helpers import (
 from qkpapprox import orchestrator, random_instance
 from qkpapprox.classsolvers import ClassOutcome
 from qkpapprox.decompose import SubInstance, decompose
-from qkpapprox.dks import DksBackend, dks_exact, dks_greedy_peel
+from qkpapprox.dks import DksBackend, dks_exact, dks_greedy_peel, get_backend
 from qkpapprox.instance import QkpInstance, evaluate
 from qkpapprox.orchestrator import (
     RunReport,
@@ -85,6 +85,15 @@ def test_config_validation():
         SolveConfig(knapsack_eps=Fraction(3, 2))
     with pytest.raises(ValueError):
         DksBackend("exact", 2, dks_exact)
+
+
+@pytest.mark.parametrize("name", ["nope", 3])
+def test_config_rejects_an_unknown_backend(name):
+    # resolved when the config is built, not inside solve
+    with pytest.raises(ValueError) as err:
+        SolveConfig(dks_backend=name)
+    assert str(err.value) == f"unknown DkS backend {name!r}; choose from ['exact', 'greedy']"
+    assert SolveConfig(dks_backend="exact").dks_backend is get_backend("exact")
 
 
 def test_config_normalises_eps_and_alpha():
