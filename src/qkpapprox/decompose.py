@@ -38,7 +38,7 @@ class SubInstance(NamedTuple):
     with u < v; part_a/part_b are set for the bipartite classes 4 and 5
     (part_a is the lighter side).  Class 1 carries no profits: it is
     solved on the reduced instance's vertex profits.  cost_units (by
-    reduced id) and limit_units are prepare's units; scaled_cost(v) is
+    reduced id) and limit_units are prepare's units; v's scaled cost is
     cost_units[v] / (den * cost_scale), cost_scale = 2**scale_exp.
     buckets: (i, i) for classes 2/3, (tail, i) for class 4, and (i, j)
     with i < j for class 5 (part_a lives in bucket j, part_b in i).
@@ -69,9 +69,6 @@ class SubInstance(NamedTuple):
     def limit_ratio(self) -> tuple[int, int]:
         """Ints (num, den) with num / den == scaled_limit, den > 0."""
         return self._ratio(self.limit_units)
-
-    def scaled_cost(self, v: int) -> Rational:
-        return as_rational(Fraction(*self._ratio(self.cost_units[v])))
 
     @property
     def scaled_limit(self) -> Rational:

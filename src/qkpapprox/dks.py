@@ -304,7 +304,7 @@ _BACKENDS = {"exact": EXACT_BACKEND, "greedy": GREEDY_BACKEND}
 def get_backend(name: str) -> DksBackend:
     try:
         return _BACKENDS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(
             f"unknown DkS backend {name!r}; choose from {sorted(_BACKENDS)}"
         ) from None

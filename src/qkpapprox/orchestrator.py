@@ -9,8 +9,7 @@ prepare's one walk over the original edges yields the scan and the terms
 of the candidates' profit bounds; candidates are evaluated in bound order.
 """
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Union
@@ -59,10 +58,8 @@ class SubRecord(NamedTuple):
 
     vertices is the candidate lifted to original ids, always-include
     vertices added, sorted; feasible says whether its cost fits the
-    instance's limit.  Only size is derived, as len(vertices); to_json_obj
-    evaluates cost and profit on the original instance, so a candidate
-    that cannot win is never evaluated unless its record is serialised.
-    The repr leaves out the instance.
+    instance's limit.  A plain value: cost and profit are evaluated only
+    when the report is serialised.
     """
 
     class_tag: int  # 0 marks the singleton/edge-pair fallback scan
@@ -70,56 +67,45 @@ class SubRecord(NamedTuple):
     fallbacks: tuple[str, ...]
     vertices: tuple[int, ...]
     feasible: bool
-    instance: QkpInstance
-
-    def __repr__(self) -> str:
-        return (
-            f"SubRecord(class_tag={self.class_tag!r}, case={self.case!r}, "
-            f"fallbacks={self.fallbacks!r}, vertices={self.vertices!r}, "
-            f"feasible={self.feasible!r})"
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def to_json_obj(self) -> dict:
-        cost, profit = evaluate(self.instance, self.vertices)
-        return {
-            "class": self.class_tag,
-            "case": self.case,
-            "fallbacks": list(self.fallbacks),
-            "size": self.size,
-            "cost": rational_to_json(cost),
-            "profit": rational_to_json(profit),
-            "feasible": self.feasible,
-        }
 
 
 @dataclass(frozen=True)
 class RunReport:
+    """Every candidate of one solve, the returned Solution, and the
+    instance they are evaluated on (left out of the repr)."""
+
     records: tuple[SubRecord, ...]
-    best_profit: Rational
-    best_vertices: tuple[int, ...]
+    solution: Solution
     best_class: int
     backend_name: str
     knapsack_eps: Rational
-    wall_ms: float
+    instance: QkpInstance = field(repr=False)
 
-    def to_json_obj(self, include_timing: bool = True) -> dict:
-        obj = {
-            "records": [r.to_json_obj() for r in self.records],
+    def to_json_obj(self) -> dict:
+        """Each record with its cost and profit on the instance, which
+        evaluates every candidate, also those that could not win."""
+        records = []
+        for r in self.records:
+            cost, profit = evaluate(self.instance, r.vertices)
+            records.append({
+                "class": r.class_tag,
+                "case": r.case,
+                "fallbacks": list(r.fallbacks),
+                "size": len(r.vertices),
+                "cost": rational_to_json(cost),
+                "profit": rational_to_json(profit),
+                "feasible": r.feasible,
+            })
+        return {
+            "records": records,
             "best": {
-                "profit": rational_to_json(self.best_profit),
-                "vertices": list(self.best_vertices),
+                "profit": rational_to_json(self.solution.total_profit),
+                "vertices": list(self.solution.vertices),
                 "class": self.best_class,
             },
             "backend": self.backend_name,
             "knapsack_eps": rational_to_json(self.knapsack_eps),
         }
-        if include_timing:
-            obj["wall_ms"] = round(self.wall_ms, 3)
-        return obj
 
 
 def guaranteed_floor(n: int) -> Fraction:
@@ -178,7 +164,6 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     cfg = cfg or SolveConfig()
     backend = cfg.dks_backend
 
-    t0 = time.perf_counter()
     prep = prepare(inst)
     subs = decompose(prep)
     # always-include vertices cost 0 and orig_of holds only positive-cost
@@ -200,10 +185,8 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
         feasible = cost <= limit
         if feasible:
             ranked.append((bound, verts, sub.class_tag))
-        records.append(
-            SubRecord(sub.class_tag, outcome.case, outcome.fallbacks, verts, feasible, inst)
-        )
-    records.append(SubRecord(0, "singleton_pair_scan", (), prep.fallback[1], True, inst))
+        records.append(SubRecord(sub.class_tag, outcome.case, outcome.fallbacks, verts, feasible))
+    records.append(SubRecord(0, "singleton_pair_scan", (), prep.fallback[1], True))
 
     # stable, so equal vertex sets, which have equal bounds, keep solve order
     ranked.sort(key=itemgetter(0), reverse=True)
@@ -218,16 +201,8 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
         best = (*prep.fallback, 0)
 
     _, best_verts, best_class = best
-    cost, profit = evaluate(inst, best_verts)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    solution = Solution(best_verts, cost, profit)
+    solution = Solution(best_verts, *evaluate(inst, best_verts))
     report = RunReport(
-        records=tuple(records),
-        best_profit=profit,
-        best_vertices=best_verts,
-        best_class=best_class,
-        backend_name=backend.name,
-        knapsack_eps=cfg.knapsack_eps,
-        wall_ms=wall_ms,
+        tuple(records), solution, best_class, backend.name, cfg.knapsack_eps, inst
     )
     return solution, report

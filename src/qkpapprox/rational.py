@@ -15,8 +15,9 @@ Rational = Union[int, Fraction]
 def as_rational(value) -> Rational:
     """Normalize a value to an exact rational (int when integral).
 
-    Accepts ints, Fractions and strings ("7", "3/4", "0.25").  Floats are
-    rejected: callers must pass exact values.
+    Accepts ints, Fractions and strings ("7", "3/4", "0.25"); a string
+    that does not parse, or has a zero denominator, raises ValueError.
+    Floats are rejected: callers must pass exact values.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not valid rational values")
@@ -25,7 +26,10 @@ def as_rational(value) -> Rational:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
-        frac = Fraction(value)
+        try:
+            frac = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
         return int(frac) if frac.denominator == 1 else frac
     if isinstance(value, float):
         raise TypeError(

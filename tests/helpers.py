@@ -365,10 +365,15 @@ def sub_edge_count(sub: SubInstance, chosen) -> int:
 
 
 def sub_cost(sub: SubInstance, chosen) -> Fraction:
-    return sum((Fraction(sub.scaled_cost(v)) for v in chosen), Fraction(0))
+    return sum((Fraction(scaled_cost(sub, v)) for v in chosen), Fraction(0))
 
 
 # Derived views of library objects that only the tests read.
+
+
+def scaled_cost(sub: SubInstance, v: int) -> Rational:
+    """v's cost in sub's scaled units: cost_units[v] / (den * cost_scale)."""
+    return as_rational(Fraction(sub.cost_units[v], sub.den) / sub.cost_scale)
 
 
 def instance_degree(inst: QkpInstance, v: int) -> int:
@@ -418,7 +423,7 @@ def subinstance_as_qkp(
         vp = (0,) * len(members)
     inst = QkpInstance(
         n=len(members),
-        cost=tuple(sub.scaled_cost(v) for v in members),
+        cost=tuple(scaled_cost(sub, v) for v in members),
         vprofit=vp,
         edges=tuple(
             (local[u], local[v], profit) for u, v in sub.edges
@@ -431,9 +436,8 @@ def subinstance_as_qkp(
 def replicated_costs(rep: ReplicatedGraph, sub: SubInstance) -> tuple:
     """Scaled cost of each local id of replicate(sub): a light vertex keeps
     its cost, and each copy of a heavy vertex takes a 1/d share."""
-    cost = sub.scaled_cost
-    return tuple(map(cost, rep.a_members)) + tuple(
-        Fraction(cost(b)) / rep.d for b in rep.b_members for _ in range(rep.d)
+    return tuple(scaled_cost(sub, a) for a in rep.a_members) + tuple(
+        Fraction(scaled_cost(sub, b)) / rep.d for b in rep.b_members for _ in range(rep.d)
     )
 
 
@@ -894,7 +898,7 @@ def reference_decompose(prep: PreparedInstance) -> list[SubInstance]:
 
 def reference_solve(inst: QkpInstance, cfg) -> tuple[Solution, RunReport]:
     """solve with every feasible candidate evaluated, in solve order, and
-    the fallback scan taken from the original edges; wall_ms is 0."""
+    the fallback scan taken from the original edges."""
     backend = cfg.dks_backend
     prep = prepare(inst)
     always = prep.always_include
@@ -909,16 +913,14 @@ def reference_solve(inst: QkpInstance, cfg) -> tuple[Solution, RunReport]:
             profit = evaluate(inst, verts)[1]
             if _beats(profit, verts, best):
                 best = (profit, verts, sub.class_tag)
-        records.append(SubRecord(sub.class_tag, outcome.case, outcome.fallbacks, verts, feasible, inst))
+        records.append(SubRecord(sub.class_tag, outcome.case, outcome.fallbacks, verts, feasible))
     scan = reference_fallback_scan(inst, always, prep.base_profit, units, limit)
     if _beats(*scan, best):
         best = (*scan, 0)
-    records.append(SubRecord(0, "singleton_pair_scan", (), scan[1], True, inst))
-    cost, profit = evaluate(inst, best[1])
-    report = RunReport(
-        tuple(records), profit, best[1], best[2], backend.name, cfg.knapsack_eps, 0.0
-    )
-    return Solution(best[1], cost, profit), report
+    records.append(SubRecord(0, "singleton_pair_scan", (), scan[1], True))
+    solution = Solution(best[1], *evaluate(inst, best[1]))
+    report = RunReport(tuple(records), solution, best[2], backend.name, cfg.knapsack_eps, inst)
+    return solution, report
 
 
 def ungated_best(inst: QkpInstance, cfg):

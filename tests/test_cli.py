@@ -13,7 +13,7 @@ from qkpapprox.cli import main
 from qkpapprox.generate import random_instance
 from qkpapprox.instance import QkpInstance, dumps_canonical, instance_to_json_obj
 from qkpapprox.oracle import exact_qkp
-from qkpapprox.orchestrator import solve
+from qkpapprox.orchestrator import SolveConfig, solve
 
 
 def write_triangle(path, limit=2):
@@ -38,7 +38,7 @@ def test_solve_triangle(tmp_path, capsys):
 
 def test_solve_writes_report_and_dump(tmp_path):
     inst_path = tmp_path / "tri.json"
-    write_triangle(inst_path)
+    inst = write_triangle(inst_path)
     report = tmp_path / "report.json"
     dump = tmp_path / "decomp.json"
     code = main([
@@ -50,10 +50,14 @@ def test_solve_writes_report_and_dump(tmp_path):
     rep = json.loads(report.read_text())
     assert rep["backend"] == "exact"
     assert any(r["case"] == "singleton_pair_scan" for r in rep["records"])
+    # the CLI times the solve and adds wall_ms; the rest is the library's report
+    wall_ms = rep.pop("wall_ms")
+    assert type(wall_ms) in (int, float) and wall_ms >= 0
+    assert rep == solve(inst, SolveConfig(dks_backend="exact"))[1].to_json_obj()
     assert json.loads(dump.read_text())[0]["class"] == 1
 
 
-# sha256 of the dump and of the timing-free report for one seeded
+# sha256 of the dump and of the library's report for one seeded
 # instance that reaches classes 1, 3, 4 and 5.  A change to either means
 # the decomposition or a candidate changed.
 PINNED_DUMP_SHA256 = "ae753e167ed2516303f96c786c9f5d4e84120a777856aea9952f47a67c80ea17"
@@ -71,7 +75,7 @@ def test_dump_and_report_bytes_are_pinned(tmp_path):
     assert code == 0
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == PINNED_DUMP_SHA256
     _, report = solve(inst)
-    text = dumps_canonical(report.to_json_obj(include_timing=False))
+    text = dumps_canonical(report.to_json_obj())
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256
 
 
@@ -126,9 +130,11 @@ def test_solve_invalid_instance(tmp_path):
     ("costs", "12"),
     ("vertex_profits", "34"),
     ("edges", [[0, 1, 3, 99]]),
+    ("limit", "1/0"),
 ])
 def test_solve_and_verify_reject_a_non_array_field(tmp_path, capsys, field, value):
-    # a string is not read as a list of digits, nor an edge cut to 3 entries
+    # a string is not read as a list of digits, nor an edge cut to 3
+    # entries, and a zero denominator is no ZeroDivisionError traceback
     obj = {"n": 2, "limit": 5, "costs": [1, 2], "vertex_profits": [3, 4], "edges": [[0, 1, 3]]}
     obj[field] = value
     bad = tmp_path / "bad.json"
@@ -141,6 +147,15 @@ def test_solve_and_verify_reject_a_non_array_field(tmp_path, capsys, field, valu
     assert len(err) == 2
     assert all(line.startswith("error: cannot read instance: malformed instance document: ")
                for line in err)
+
+
+def test_verify_rejects_a_zero_denominator_in_the_solution(tmp_path, capsys):
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    write_triangle(inst_path)
+    sol_path.write_text('{"vertices": [0], "cost": "1/0", "profit": 0}')
+    assert main(["verify", "--input", str(inst_path), "--solution", str(sol_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cannot read solution: zero denominator in '1/0'"]
 
 
 def test_solve_rejects_non_integer_vertex_count(tmp_path, capsys):

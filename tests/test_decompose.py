@@ -12,6 +12,7 @@ from helpers import (
     profit_mass,
     qkp_instances,
     reference_decompose,
+    scaled_cost,
     subinstance_as_qkp,
     subinstance_count_bound,
 )
@@ -57,9 +58,9 @@ def test_distinct_non_tail_buckets_give_class5():
     assert set(sub.part_a) == {2, 3}
     assert sub.d_gap == 2
     for v in sub.part_a:
-        assert 1 < sub.scaled_cost(v) <= 2
+        assert 1 < scaled_cost(sub, v) <= 2
     for v in sub.part_b:
-        assert sub.d_gap < sub.scaled_cost(v) <= 2 * sub.d_gap
+        assert sub.d_gap < scaled_cost(sub, v) <= 2 * sub.d_gap
 
 
 def test_two_levels_two_bucket_pairs_make_five_subs():
@@ -117,9 +118,9 @@ def test_class4_orientation_and_scaling():
     assert set(sub.part_a) == {2, 3}
     assert sub.cost_scale == pow2(prep.k_exp - prep.l_buckets)
     for v in sub.part_a:
-        assert 0 < sub.scaled_cost(v) <= 1
+        assert 0 < scaled_cost(sub, v) <= 1
     for v in sub.part_b:
-        assert sub.d_gap < sub.scaled_cost(v) <= 2 * sub.d_gap
+        assert sub.d_gap < scaled_cost(sub, v) <= 2 * sub.d_gap
 
 
 @given(qkp_instances(max_n=12))
@@ -148,18 +149,18 @@ def test_scaled_ranges_per_class(inst):
     for sub in decompose(prep):
         if sub.class_tag == 3:
             for v in sub.vertices:
-                assert 1 < sub.scaled_cost(v) <= 2
+                assert 1 < scaled_cost(sub, v) <= 2
         elif sub.class_tag == 4:
             for v in sub.part_a:
-                assert 0 < sub.scaled_cost(v) <= 1
+                assert 0 < scaled_cost(sub, v) <= 1
             for v in sub.part_b:
-                assert sub.d_gap < sub.scaled_cost(v) <= 2 * sub.d_gap
+                assert sub.d_gap < scaled_cost(sub, v) <= 2 * sub.d_gap
             assert sub.d_gap >= 1
         elif sub.class_tag == 5:
             for v in sub.part_a:
-                assert 1 < sub.scaled_cost(v) <= 2
+                assert 1 < scaled_cost(sub, v) <= 2
             for v in sub.part_b:
-                assert sub.d_gap < sub.scaled_cost(v) <= 2 * sub.d_gap
+                assert sub.d_gap < scaled_cost(sub, v) <= 2 * sub.d_gap
             assert sub.d_gap >= 2
         if sub.class_tag in (4, 5):
             parts = set(sub.part_a) | set(sub.part_b)

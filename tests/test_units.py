@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rational_cost_instance
+from helpers import rational_cost_instance, scaled_cost
 from qkpapprox.classsolvers import _case1_applies, _limit_over
 from qkpapprox.decompose import decompose
 from qkpapprox.instance import QkpInstance, dumps_canonical
@@ -63,12 +63,12 @@ def test_units_match_their_fraction_definitions(inst):
         num, den = sub.limit_ratio()
         assert den > 0 and Fraction(num, den) == limit
         for v in sub.vertices:
-            assert sub.scaled_cost(v) == Fraction(red.cost[v]) / scale
+            assert scaled_cost(sub, v) == Fraction(red.cost[v]) / scale
         # a units sum fits limit_units exactly when the scaled sum fits
         members = list(sub.vertices)
         for r in range(len(members) + 1):
             fits = sum(sub.cost_units[v] for v in members[:r]) <= sub.limit_units
-            scaled = sum((Fraction(sub.scaled_cost(v)) for v in members[:r]), Fraction(0))
+            scaled = sum((Fraction(scaled_cost(sub, v)) for v in members[:r]), Fraction(0))
             assert fits == (scaled <= limit)
         divisors = {1, 2, 4}
         if sub.d_gap is not None:
@@ -129,7 +129,7 @@ def test_rational_cost_solves_match_recorded_results():
         cfg = SolveConfig(dks_backend="exact" if seed % 2 else "greedy")
         solution, report = solve(inst, cfg)
         assert solution.vertices == expected, seed
-        digest.update(dumps_canonical(report.to_json_obj(include_timing=False)).encode())
+        digest.update(dumps_canonical(report.to_json_obj()).encode())
         dump = [sub.to_json_obj() for sub in decompose(prepare(inst))]
         digest.update(dumps_canonical(dump).encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
