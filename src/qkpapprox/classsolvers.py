@@ -43,7 +43,8 @@ class ReplicatedGraph:
     Local ids: 0..len(a_members)-1 are the light side; copy j of heavy
     vertex index i is len(a_members) + i*d + j.  Copies inherit the base
     vertex's neighborhood and a 1/d share of its cost, so replicated costs
-    land in (1, 2].
+    land in (1, 2].  The d copies of a heavy vertex share one row, the
+    tuple of its light neighbours' ids.
     """
 
     d: int
@@ -57,25 +58,37 @@ class ReplicatedGraph:
 
 
 def replicate(sub: SubInstance) -> ReplicatedGraph:
+    """The replicated graph's rows, in one pass over sub.edges.
+
+    A light vertex's row holds the d copy ids of each heavy neighbour, and
+    the d copies of a heavy vertex share one tuple of light ids: d*|E| ids
+    in all.  The sides are sorted and sub.edges canonical, so each vertex
+    meets its neighbours in id order and every row comes out ascending.
+    """
     d = int(sub.d_gap)
     part_a, part_b = sub.part_a, sub.part_b
     a_local = {a: i for i, a in enumerate(part_a)}
     b_index = {b: i for i, b in enumerate(part_b)}
     n_a = len(part_a)
-    edges = []
+    light = [[] for _ in part_a]
+    heavy = [[] for _ in part_b]
     for u, v in sub.edges:
-        a, b = (u, v) if u in a_local else (v, u)
-        base = n_a + b_index[b] * d
-        for j in range(d):
-            edges.append((a_local[a], base + j))
-    # light ids lie below every copy id and each edge is emitted once, so
-    # sorting makes the list canonical
-    edges.sort()
+        i = a_local.get(u)
+        if i is None:
+            i, j = a_local[v], b_index[u]
+        else:
+            j = b_index[v]
+        base = n_a + j * d
+        light[i].extend(range(base, base + d))
+        heavy[j].append(i)
+    rows = [tuple(row) for row in light]
+    for row in heavy:
+        rows += (tuple(row),) * d
     return ReplicatedGraph(
         d=d,
         a_members=part_a,
         b_members=part_b,
-        graph=UGraph.from_canonical(n_a + d * len(part_b), tuple(edges)),
+        graph=UGraph.from_rows(n_a + d * len(part_b), tuple(rows)),
     )
 
 
@@ -166,10 +179,13 @@ def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
         return ClassOutcome(_best_small_subset(sub, 3), "enum_small")
     members = tuple(sub.vertices)
     local = {v: i for i, v in enumerate(members)}
-    # members are sorted and sub.edges canonical, so the relabeled edges are
-    graph = UGraph.from_canonical(
-        len(members), tuple((local[u], local[v]) for u, v in sub.edges)
-    )
+    # members are sorted and sub.edges canonical, so every row is ascending
+    rows = [[] for _ in members]
+    for u, v in sub.edges:
+        i, j = local[u], local[v]
+        rows[i].append(j)
+        rows[j].append(i)
+    graph = UGraph.from_rows(len(members), tuple(map(tuple, rows)))
     chosen, fallbacks = _dks_with_fallback(graph, t, backend)
     return ClassOutcome(
         tuple(sorted(members[i] for i in chosen)), "dks", fallbacks
@@ -318,15 +334,15 @@ def solve_class5(
     chosen, fallbacks = _dks_with_fallback(rep.graph, k, backend)
 
     n_a = len(part_a)
-    chosen_set = set(chosen)
-    a_returned = sorted(part_a[i] for i in chosen if i < n_a)
-    delta_star = {b: 0 for b in part_b}
+    chosen_a = {i for i in chosen if i < n_a}
+    a_returned = sorted(part_a[i] for i in chosen_a)
+    # a copy's row holds light ids only, and a base's copies share it, so
+    # every chosen copy of a base has the same degree into the choice
+    delta_star = dict.fromkeys(part_b, 0)
+    nbrs = rep.graph.nbrs
     for local in chosen:
         if local >= n_a:
-            base = rep.copy_base(local)
-            deg = len(rep.graph.adj[local] & chosen_set)
-            if deg > delta_star[base]:
-                delta_star[base] = deg
+            delta_star[rep.copy_base(local)] = len(chosen_a.intersection(nbrs[local]))
 
     b_prime = _top(part_b, per_4d, lambda b: delta_star[b])
     return ClassOutcome(_degree_select(adj, b_prime, a_returned, m_a), "case2", fallbacks)

@@ -1,9 +1,14 @@
 """Densest-k-subgraph backends: the pluggable black box of the pipeline.
 
 A backend maps (unweighted graph, k) to a set of exactly min(k, n)
-vertices.  The exact backend is one lexicographic branch and bound that
-returns the set plain enumeration in itertools.combinations order would
-(the first one with the most edges), on one work budget: it raises
+vertices.  A UGraph holds one representation, neighbour rows: one
+ascending tuple of neighbour ids per vertex.  The class solvers build the
+rows straight from a sub-instance (UGraph.from_rows), the exact search
+turns them into bitmasks, and the greedy peel walks them.
+
+The exact backend is one lexicographic branch and bound that returns the
+set plain enumeration in itertools.combinations order would (the first
+one with the most edges), on one work budget: it raises
 CapacityError once it has pushed more than budget frames, and at once for
 a graph above max_n vertices with more than budget k-subsets.  It pushes
 at most C(n - 2, k - 2) - 1 frames, fewer than the C(n, k) subsets, so a
@@ -33,41 +38,49 @@ DEFAULT_EXACT_MAX_N = 25
 DEFAULT_BUDGET = 60_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UGraph:
-    """Undirected unweighted graph on vertices 0..n-1."""
+    """Undirected unweighted graph on vertices 0..n-1, held as neighbour
+    rows: nbrs[v] is the ascending tuple of v's neighbours.
+
+    UGraph(n, edges) checks its input: n and every endpoint must be a
+    non-negative int (bool excluded), endpoints below n and no self-loops.
+    Repeated edges, in either orientation, are kept once.
+    """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    nbrs: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        canon = set()
-        for u, v in self.edges:
-            if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
-            canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
-        self._set_adj()
+    def __init__(self, n: int, edges):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n must be a non-negative int, got {n!r}")
+        rows = [set() for _ in range(n)]
+        for u, v in edges:
+            if (type(u) is not int or type(v) is not int or u == v
+                    or not (0 <= u < n and 0 <= v < n)):
+                raise ValueError(f"bad edge ({u!r},{v!r}) for n={n}")
+            rows[u].add(v)
+            rows[v].add(u)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "nbrs", tuple(tuple(sorted(row)) for row in rows))
 
     @classmethod
-    def from_canonical(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "UGraph":
-        """A graph from edges already canonical: sorted, u < v, no repeats,
-        endpoints in 0..n-1.  Nothing is checked."""
+    def from_rows(cls, n: int, nbrs: tuple[tuple[int, ...], ...]) -> "UGraph":
+        """A graph from rows already canonical: n rows, each ascending,
+        without repeats or v itself, u in nbrs[v] exactly when v is in
+        nbrs[u].  Nothing is checked."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "edges", edges)
-        graph._set_adj()
+        object.__setattr__(graph, "nbrs", nbrs)
         return graph
 
-    def _set_adj(self):
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "adj", tuple(frozenset(a) for a in adj))
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each edge once as (u, v) with u < v, sorted."""
+        return tuple((u, v) for u, row in enumerate(self.nbrs) for v in row if u < v)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.nbrs[v])
 
 
 @dataclass(frozen=True)
@@ -89,12 +102,17 @@ class DksBackend:
         object.__setattr__(self, "declared_alpha", alpha)
 
 
+def _checked_k(k) -> int:
+    """k itself, or ValueError unless it is a non-negative int (bool excluded)."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be a non-negative int, got {k!r}")
+    return k
+
+
 def solve_dks(graph: UGraph, k: int, backend: DksBackend) -> tuple[int, ...]:
     """Exactly min(k, n) distinct vertices chosen by the backend (else
     RuntimeError); deterministic."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    k_eff = min(k, graph.n)
+    k_eff = min(_checked_k(k), graph.n)
     if k_eff == 0:
         return ()
     if k_eff == graph.n:
@@ -111,10 +129,12 @@ def solve_dks(graph: UGraph, k: int, backend: DksBackend) -> tuple[int, ...]:
 
 def _neighbor_masks(graph: UGraph) -> list[int]:
     """Bit v of masks[u] is set when u and v are adjacent."""
-    masks = [0] * graph.n
-    for u, v in graph.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    masks = []
+    for row in graph.nbrs:
+        mask = 0
+        for v in row:
+            mask |= 1 << v
+        masks.append(mask)
     return masks
 
 
@@ -253,9 +273,7 @@ def dks_exact(
     C(n - 2, k - 2) - 1 < C(n, k), so a graph with at most budget
     k-subsets always completes.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    k_eff = min(k, graph.n)
+    k_eff = min(_checked_k(k), graph.n)
     if k_eff == 0:
         return ()
     if k_eff == graph.n:
@@ -269,26 +287,33 @@ def dks_exact(
 
 
 def dks_greedy_peel(graph: UGraph, k: int) -> tuple[int, ...]:
-    """Peel minimum-degree vertices (ties: smallest id) down to min(k, n)."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    k_eff = min(k, graph.n)
-    if k_eff == graph.n:
-        return tuple(range(graph.n))
-    deg = [graph.degree(v) for v in range(graph.n)]
-    live = set(range(graph.n))
-    heap = [(deg[v], v) for v in live]
+    """Peel minimum-degree vertices (ties: smallest id) down to min(k, n).
+
+    A heap of (degree, id) entries, one pushed per degree drop; an entry
+    whose degree is no longer the vertex's, or whose vertex is peeled, is
+    skipped.  Pops follow the entries' order alone, so the result does not
+    depend on the order of the rows.
+    """
+    n = graph.n
+    k_eff = min(_checked_k(k), n)
+    if k_eff == n:
+        return tuple(range(n))
+    nbrs = graph.nbrs
+    deg = list(map(len, nbrs))
+    live = [True] * n
+    heap = list(zip(deg, range(n)))
     heapq.heapify(heap)
-    while len(live) > k_eff:
-        d, v = heapq.heappop(heap)
-        if v not in live or d != deg[v]:
-            continue
-        live.remove(v)
-        for u in graph.adj[v]:
-            if u in live:
+    pop, push = heapq.heappop, heapq.heappush
+    for _ in range(n - k_eff):
+        d, v = pop(heap)
+        while not live[v] or d != deg[v]:
+            d, v = pop(heap)
+        live[v] = False
+        for u in nbrs[v]:
+            if live[u]:
                 deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    return tuple(sorted(live))
+                push(heap, (deg[u], u))
+    return tuple(v for v in range(n) if live[v])
 
 
 EXACT_BACKEND = DksBackend("exact", 0, dks_exact)

@@ -190,18 +190,20 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
 
     # stable, so equal vertex sets, which have equal bounds, keep solve order
     ranked.sort(key=itemgetter(0), reverse=True)
-    best = None  # (profit, vertices, class_tag) of the best feasible candidate
+    best = None  # (profit, vertices, class tag, cost) of the best feasible candidate
     for bound, verts, class_tag in ranked:
         if best is not None and bound < 2 * best[0]:
             break
-        profit = evaluate(inst, verts)[1]
+        cost, profit = evaluate(inst, verts)
         if _beats(profit, verts, best):
-            best = (profit, verts, class_tag)
+            best = (profit, verts, class_tag, cost)
     if _beats(*prep.fallback, best):
-        best = (*prep.fallback, 0)
+        verts = prep.fallback[1]
+        cost, profit = evaluate(inst, verts)
+        best = (profit, verts, 0, cost)
 
-    _, best_verts, best_class = best
-    solution = Solution(best_verts, *evaluate(inst, best_verts))
+    profit, best_verts, best_class, cost = best
+    solution = Solution(best_verts, cost, profit)
     report = RunReport(
         tuple(records), solution, best_class, backend.name, cfg.knapsack_eps, inst
     )

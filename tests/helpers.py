@@ -4,6 +4,7 @@ The brute-force solvers here deliberately avoid the library's adjacency
 and search machinery so they can serve as independent cross-checks.
 """
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -192,6 +193,55 @@ def reference_completion_bound(cand_masks, mask: int, t: int) -> int:
     with vertex bitmask mask."""
     gains = sorted([(m & mask).bit_count() for m in cand_masks], reverse=True)
     return t * (t - 1) // 2 + sum(gains[:t])
+
+
+def reference_greedy_peel(graph: UGraph, k: int) -> tuple[int, ...]:
+    """The set-based peel dks.dks_greedy_peel replaced: adjacency sets
+    built from graph.edges, and a set of live vertices."""
+    adj = [set() for _ in range(graph.n)]
+    for u, v in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    k_eff = min(k, graph.n)
+    if k_eff == graph.n:
+        return tuple(range(graph.n))
+    deg = [len(adj[v]) for v in range(graph.n)]
+    live = set(range(graph.n))
+    heap = [(deg[v], v) for v in live]
+    heapq.heapify(heap)
+    while len(live) > k_eff:
+        d, v = heapq.heappop(heap)
+        if v not in live or d != deg[v]:
+            continue
+        live.remove(v)
+        for u in adj[v]:
+            if u in live:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
+    return tuple(sorted(live))
+
+
+def reference_replicate_edges(sub: SubInstance) -> tuple[tuple[int, int], ...]:
+    """The d-fold edge list classsolvers.replicate built before it built
+    rows: each sub edge once per copy of its heavy end, in replicate's
+    local ids, sorted."""
+    d = int(sub.d_gap)
+    part_a, part_b = sub.part_a, sub.part_b
+    a_local = {a: i for i, a in enumerate(part_a)}
+    b_index = {b: i for i, b in enumerate(part_b)}
+    n_a = len(part_a)
+    edges = []
+    for u, v in sub.edges:
+        a, b = (u, v) if u in a_local else (v, u)
+        base = n_a + b_index[b] * d
+        for j in range(d):
+            edges.append((a_local[a], base + j))
+    # light ids lie below every copy id and each edge is emitted once, so
+    # sorting makes the list canonical
+    edges.sort()
+    return tuple(edges)
 
 
 @st.composite

@@ -12,6 +12,8 @@ from helpers import (
     anchored_instance,
     random_class3_sub,
     reference_feasible_b_subsets,
+    reference_greedy_peel,
+    reference_replicate_edges,
     random_class4_sub,
     random_class5_case2_sub,
     replicated_costs,
@@ -32,7 +34,7 @@ from qkpapprox.classsolvers import (
     solve_class5,
 )
 from qkpapprox.decompose import decompose
-from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, DksBackend, UGraph
+from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, DksBackend, UGraph, dks_greedy_peel
 from qkpapprox.instance import QkpInstance
 from qkpapprox.oracle import exact_qkp
 from qkpapprox.orchestrator import SolveConfig, solve
@@ -202,7 +204,31 @@ def test_replicated_graph_is_canonical():
     for sub in [sub] + [random_class5_case2_sub(rng) for _ in range(10)]:
         graph = replicate(sub).graph
         checked = UGraph(graph.n, graph.edges)
-        assert (graph.edges, graph.adj) == (checked.edges, checked.adj)
+        assert (graph.edges, graph.nbrs) == (checked.edges, checked.nbrs)
+
+
+def test_replicated_rows_match_the_d_fold_edge_list():
+    sub = make_sub(
+        5, [3, 3, Fraction(3, 2), Fraction(3, 2)], [(0, 2), (0, 3), (1, 2)],
+        limit=12, part_a=(2, 3), part_b=(0, 1), d=2,
+    )
+    rng = random.Random(11)
+    for sub in [sub] + [random_class5_case2_sub(rng) for _ in range(20)]:
+        graph = replicate(sub).graph
+        reference = UGraph(graph.n, reference_replicate_edges(sub))
+        assert graph.n == reference.n
+        for v in range(graph.n):
+            assert graph.nbrs[v] == reference.nbrs[v], v
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_greedy_peel_on_replicated_graphs_matches_set_based_peel(seed):
+    sub = random_class5_case2_sub(random.Random(seed))
+    graph = replicate(sub).graph
+    reference = UGraph(graph.n, reference_replicate_edges(sub))
+    for k in range(graph.n + 1):
+        assert dks_greedy_peel(graph, k) == reference_greedy_peel(reference, k)
 
 
 def test_replicated_degrees_match_base():

@@ -14,6 +14,7 @@ from helpers import (
     induced_edge_count,
     reference_completion_bound,
     reference_dks_enum,
+    reference_greedy_peel,
     reference_lex_pushes,
 )
 from qkpapprox import dks
@@ -118,6 +119,64 @@ def test_solve_dks_rejects_repeated_or_out_of_range_ids(answer):
     stub = DksBackend("stub", 0, lambda graph, k: answer)
     with pytest.raises(RuntimeError):
         solve_dks(path, 2, stub)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.5, True, False, -1, "2"])
+def test_entry_points_reject_a_k_that_is_not_a_nonnegative_int(k):
+    path = UGraph(4, ((0, 1), (1, 2), (2, 3)))
+    calls = [
+        lambda: dks_exact(path, k),
+        lambda: dks_greedy_peel(path, k),
+        lambda: solve_dks(path, k, EXACT_BACKEND),
+        lambda: solve_dks(path, k, GREEDY_BACKEND),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be a non-negative int"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (-1, ()),
+        (True, ()),
+        (2.0, ()),
+        (3, ((True, 2),)),
+        (3, ((0, 1.0),)),
+        (3, ((0, 3),)),
+        (3, ((-1, 2),)),
+        (3, ((1, 1),)),
+    ],
+)
+def test_graph_rejects_a_bad_n_or_endpoint(n, edges):
+    with pytest.raises(ValueError):
+        UGraph(n, edges)
+
+
+def test_graph_rows_are_ascending_and_symmetric():
+    g = UGraph(5, ((3, 1), (0, 3), (1, 3), (4, 0), (2, 0)))
+    assert g.nbrs == ((2, 3, 4), (3,), (0,), (0, 1), (0,))
+    assert g.edges == ((0, 2), (0, 3), (0, 4), (1, 3))
+    assert [g.degree(v) for v in range(5)] == [3, 1, 1, 2, 1]
+    assert UGraph.from_rows(5, g.nbrs) == g
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(0, 24))
+    density = draw(st.sampled_from([0, 0.1, 0.3, 0.6, 1]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = tuple(
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    )
+    return UGraph(n, edges)
+
+
+@given(random_graphs())
+@settings(max_examples=150, deadline=None)
+def test_greedy_peel_matches_set_based_peel(g):
+    for k in range(g.n + 1):
+        assert dks_greedy_peel(g, k) == reference_greedy_peel(g, k)
 
 
 def test_backend_alpha_validated():

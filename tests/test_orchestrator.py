@@ -254,9 +254,9 @@ def test_bound_skips_candidates_that_cannot_win():
         sol, report = solve(inst)
     assert len(report.records) == 88
     # the class-1 candidate has the largest bound and wins; every other
-    # bound is below twice its profit, so only it and the solution are
-    # evaluated
-    assert spy.call_count == 2
+    # bound is below twice its profit, so only it is evaluated, and the
+    # solution reuses its cost and profit
+    assert spy.call_count == 1
     assert report.best_class == 1
     assert sol.total_profit == max(
         evaluate(inst, r.vertices)[1] for r in report.records if r.feasible
