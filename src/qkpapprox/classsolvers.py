@@ -65,7 +65,7 @@ def replicate(sub: SubInstance) -> ReplicatedGraph:
     in all.  The sides are sorted and sub.edges canonical, so each vertex
     meets its neighbours in id order and every row comes out ascending.
     """
-    d = int(sub.d_gap)
+    d = sub.d_gap
     part_a, part_b = sub.part_a, sub.part_b
     a_local = {a: i for i, a in enumerate(part_a)}
     b_index = {b: i for i, b in enumerate(part_b)}
@@ -137,13 +137,15 @@ def solve_class2(sub: SubInstance) -> ClassOutcome:
     each, and the fitting union of two parts with the most sub edges is
     returned, the first pair on ties.
 
-    Guarantee: an overflowing tail of a decomposed instance keeps at
-    least 1/21 of the sub edges.  There, every tail cost is at most
-    2^(k-2) < c*/2 <= limit/2 (l >= 2 once a class-2 edge exists), so
-    each part, and each union of two, fits.  Two consecutive parts
-    together exceed limit/2, and the tail is below 2*limit, so there are
-    at most 7 parts and 21 pairs of them, and every edge lies within
-    some pair.
+    Precondition: every tail cost is below limit/2, as on a decomposed
+    instance, where it is at most 2^(k-2) < c*/2 <= limit/2 (l >= 2 once
+    a class-2 edge exists).  Then each part holds at most floor(limit/2)
+    units, so every union of two fits and none is filtered.
+
+    Guarantee: such an overflowing tail keeps at least 1/21 of the sub
+    edges.  Two consecutive parts together exceed limit/2, and the tail
+    is below 2*limit, so there are at most 7 parts and 21 pairs of them,
+    and every edge lies within some pair.
     """
     units, limit = sub.cost_units, sub.limit_units
     parts, load = [[]], 0
@@ -157,8 +159,6 @@ def solve_class2(sub: SubInstance) -> ClassOutcome:
     best_edges = -1
     for first, second in combinations(parts, 2):
         union = first + second
-        if sum(units[v] for v in union) > limit:
-            continue
         chosen = set(union)
         edges = sum(1 for u, v in sub.edges if u in chosen and v in chosen)
         if edges > best_edges:
@@ -172,11 +172,11 @@ def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
 
     Any k such vertices are feasible because scaled costs are at most 2.
     Degenerate limits or tiny sub-instances fall back to trying every
-    subset of size at most 3.
+    subset of two or three vertices.
     """
     t = _limit_over(sub, 2)
     if t < 2 or len(sub.vertices) < 4:
-        return ClassOutcome(_best_small_subset(sub, 3), "enum_small")
+        return ClassOutcome(_best_small_subset(sub), "enum_small")
     members = tuple(sub.vertices)
     local = {v: i for i, v in enumerate(members)}
     # members are sorted and sub.edges canonical, so every row is ascending
@@ -192,13 +192,15 @@ def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
     )
 
 
-def _best_small_subset(sub: SubInstance, max_size: int) -> tuple[int, ...]:
-    """Best feasible subset of size <= max_size by induced edge count."""
+def _best_small_subset(sub: SubInstance) -> tuple[int, ...]:
+    """Best feasible subset of two or three vertices by induced edge count,
+    the first on ties, or () when none induces an edge.  One vertex
+    induces no edge, so it never beats ()."""
     adj = _adj_sets(sub)
     units, limit = sub.cost_units, sub.limit_units
     best: tuple[int, ...] = ()
     best_edges = 0
-    for size in range(1, max_size + 1):
+    for size in (2, 3):
         for combo in combinations(sub.vertices, size):
             if sum(units[v] for v in combo) > limit:
                 continue
@@ -324,7 +326,7 @@ def solve_class5(
     m_a = _limit_over(sub, 4)
 
     small_a = _case1_applies(sub, len(part_a), backend.declared_alpha)
-    if small_a or len(part_a) + int(sub.d_gap) * len(part_b) > REPLICATION_CAP:
+    if small_a or len(part_a) + sub.d_gap * len(part_b) > REPLICATION_CAP:
         b_prime = _top(part_b, per_4d, lambda b: len(adj[b]))
         fallbacks = () if small_a else ("replication_cap_exceeded",)
         return ClassOutcome(_degree_select(adj, b_prime, part_a, m_a), "case1", fallbacks)

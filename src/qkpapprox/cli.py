@@ -19,6 +19,7 @@ from .dks import get_backend
 from .errors import CapacityError, InvalidInstanceError
 from .generate import random_instance
 from .instance import (
+    _array,
     dumps_canonical,
     evaluate,
     instance_to_json_obj,
@@ -28,7 +29,7 @@ from .knapsack import DEFAULT_KNAPSACK_EPS
 from .oracle import exact_qkp
 from .orchestrator import SolveConfig, guaranteed_floor, solve
 from .preprocess import prepare
-from .rational import as_rational, rational_from_json, rational_to_json
+from .rational import as_rational, rational_to_json
 
 
 def _rational_arg(text: str):
@@ -219,9 +220,9 @@ def cmd_verify(args) -> int:
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
             claimed = json.load(fh, parse_float=Fraction)
-        vertices = list(claimed["vertices"])
-        claimed_cost = rational_from_json(claimed["cost"])
-        claimed_profit = rational_from_json(claimed["profit"])
+        vertices = _array(claimed["vertices"], "a vertex array")
+        claimed_cost = as_rational(claimed["cost"])
+        claimed_profit = as_rational(claimed["profit"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(f"cannot read solution: {exc}", 2)
 

@@ -56,19 +56,16 @@ class SubInstance(NamedTuple):
     part_b: Optional[tuple[int, ...]] = None
     profit_level: Optional[Rational] = None
     buckets: Optional[tuple[int, int]] = None
-    d_gap: Optional[Rational] = None
+    d_gap: Optional[int] = None
 
     @property
     def cost_scale(self) -> Rational:
         return pow2(self.scale_exp)
 
-    def _ratio(self, units: int) -> tuple[int, int]:
-        e = self.scale_exp
-        return (units, self.den << e) if e >= 0 else (units << -e, self.den)
-
     def limit_ratio(self) -> tuple[int, int]:
         """Ints (num, den) with num / den == scaled_limit, den > 0."""
-        return self._ratio(self.limit_units)
+        e, units = self.scale_exp, self.limit_units
+        return (units, self.den << e) if e >= 0 else (units << -e, self.den)
 
     @property
     def scaled_limit(self) -> Rational:
@@ -104,7 +101,7 @@ def decompose(prep: PreparedInstance) -> list[SubInstance]:
     l = prep.l_buckets
     k = prep.k_exp
     tail = l + 1
-    bucket = [prep.bucket_of[v] for v in range(inst.n)]
+    bucket = prep.bucket_of
     shared = (prep.cost_units, prep.limit_units, prep.den)
 
     subs = [SubInstance(1, tuple(range(inst.n)), (), *shared)]

@@ -79,9 +79,6 @@ class UGraph:
         """Each edge once as (u, v) with u < v, sorted."""
         return tuple((u, v) for u, row in enumerate(self.nbrs) for v in row if u < v)
 
-    def degree(self, v: int) -> int:
-        return len(self.nbrs[v])
-
 
 @dataclass(frozen=True)
 class DksBackend:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidInstanceError
-from .rational import Rational, as_rational, rational_from_json, rational_to_json
+from .rational import Rational, as_rational, rational_to_json
 
 Edge = tuple[int, int, Rational]
 
@@ -162,11 +162,11 @@ def instance_from_json_obj(obj: dict) -> QkpInstance:
                  for e in _array(obj["edges"], "an edge array"))
         fields = dict(
             n=obj["n"],
-            cost=tuple(rational_from_json(c) for c in _array(obj["costs"], "a cost array")),
-            vprofit=tuple(rational_from_json(p) for p in
+            cost=tuple(as_rational(c) for c in _array(obj["costs"], "a cost array")),
+            vprofit=tuple(as_rational(p) for p in
                           _array(obj["vertex_profits"], "a vertex profit array")),
-            edges=tuple((u, v, rational_from_json(p)) for u, v, p in edges),
-            limit=rational_from_json(obj["limit"]),
+            edges=tuple((u, v, as_rational(p)) for u, v, p in edges),
+            limit=as_rational(obj["limit"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance document: {exc}") from exc

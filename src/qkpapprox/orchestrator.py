@@ -137,7 +137,7 @@ def _solve_sub(sub, reduced, backend, cfg):
     if sub.class_tag == 1:
         items = list(zip(reduced.cost, reduced.vprofit))
         picked = knapsack_fptas(items, reduced.limit, cfg.knapsack_eps)
-        return ClassOutcome(tuple(sub.vertices[i] for i in picked), "knapsack")
+        return ClassOutcome(picked, "knapsack")
     if sum(map(sub.cost_units.__getitem__, sub.vertices)) <= sub.limit_units:
         return ClassOutcome(sub.vertices, "sum_all")
     if sub.class_tag == 2:
@@ -159,7 +159,14 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     which is at least twice S's profit (an induced edge counts at both
     ends, and v has at most |S| - 1 neighbours in S), until B(S) is below
     twice the best profit.  Ties go to the lexicographically smallest
-    vertex set, equal sets to the first in solve order, the scan last.
+    vertex set, equal sets to the first in solve order.
+
+    The fallback scan ranks with the class candidates, last, under the
+    bound twice its exact profit.  The sort is stable, so a class
+    candidate of the same profit, whose bound is at least twice it, is
+    evaluated first; the scan then wins only with a higher profit or a
+    lexicographically smaller set, and loses a tie on an equal set.  Its
+    record is the last one.
     """
     cfg = cfg or SolveConfig()
     backend = cfg.dks_backend
@@ -173,7 +180,7 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     vprofit, wdeg, maxp = inst.vprofit, prep.weighted_degree, prep.max_edge_profit
 
     records = []
-    ranked = []  # (B(S), S, class tag) of the feasible candidates, in solve order
+    ranked = []  # (B(S), S, class tag): feasible candidates in solve order, then the scan
     for sub in subs:
         outcome = _solve_sub(sub, prep.reduced, backend, cfg)
         verts = tuple(sorted(always + [orig_of[r] for r in outcome.vertices]))
@@ -186,7 +193,9 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
         if feasible:
             ranked.append((bound, verts, sub.class_tag))
         records.append(SubRecord(sub.class_tag, outcome.case, outcome.fallbacks, verts, feasible))
-    records.append(SubRecord(0, "singleton_pair_scan", (), prep.fallback[1], True))
+    scan_profit, scan_verts = prep.fallback
+    ranked.append((2 * scan_profit, scan_verts, 0))
+    records.append(SubRecord(0, "singleton_pair_scan", (), scan_verts, True))
 
     # stable, so equal vertex sets, which have equal bounds, keep solve order
     ranked.sort(key=itemgetter(0), reverse=True)
@@ -197,10 +206,6 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
         cost, profit = evaluate(inst, verts)
         if _beats(profit, verts, best):
             best = (profit, verts, class_tag, cost)
-    if _beats(*prep.fallback, best):
-        verts = prep.fallback[1]
-        cost, profit = evaluate(inst, verts)
-        best = (profit, verts, 0, cost)
 
     profit, best_verts, best_class, cost = best
     solution = Solution(best_verts, cost, profit)

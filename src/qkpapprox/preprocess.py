@@ -25,10 +25,8 @@ class PreparedInstance:
     vertex profits and rounded edge profits; orig_of maps a reduced id to
     its original id.  always_include holds the original ids of the folded
     zero-cost vertices, and base_profit is their profit together.
-    profit_levels is the descending ladder of edge-profit values (powers
-    of two, then 0); bucket_of maps each reduced vertex to its dyadic cost
-    bucket 1..l_buckets+1, where bucket l_buckets+1 is the tail of costs
-    <= 2**(k_exp - l_buckets).
+    bucket_of[r] is reduced vertex r's dyadic cost bucket 1..l_buckets+1,
+    where bucket l_buckets+1 is the tail of costs <= 2**(k_exp - l_buckets).
 
     Costs in integer units: den is the lcm of the denominators of the
     original costs and the limit.  orig_cost_units[v] is the original
@@ -46,8 +44,7 @@ class PreparedInstance:
     base_profit: Rational
     always_include: frozenset
     orig_of: tuple[int, ...]
-    profit_levels: tuple[Rational, ...]
-    bucket_of: dict[int, int]
+    bucket_of: tuple[int, ...]
     k_exp: int
     l_buckets: int
     den: int
@@ -145,32 +142,31 @@ def _fallback(vprofit, pairs, base_profit, always, orig_of):
     return best
 
 
-def _rounded_edges(n: int, edges) -> tuple[tuple, tuple[Rational, ...]]:
+def _rounded_edges(n: int, edges) -> tuple:
     """Edges with each profit rounded down onto the level ladder
-    {2^l, ..., 2^(l-q), 0}, and the descending ladder, for n vertices.
+    {2^l, ..., 2^(l-q), 0}, for n vertices.
 
     2^l is the largest power of two at most the top edge profit and q is
     the smallest integer above 2*log2(n).  Edges rounding to 0, zero-profit
-    edges among them, are dropped; the ladder is empty when no edge has a
-    positive profit.  Each distinct profit is rounded once, and the edges
-    are rebuilt only when a profit is dropped or moves."""
+    edges among them, are dropped.  Each distinct profit is rounded once,
+    and the edges are rebuilt only when a profit is dropped or moves."""
     values = set(map(itemgetter(2), edges))
     p_star = max(values, default=0)
     if p_star <= 0:
-        return (), ()
+        return ()
     l_exp = floor_log2(p_star)
     q = (n * n).bit_length()  # the smallest integer above log2(n*n)
-    levels = tuple(pow2(l_exp - j) for j in range(q + 1)) + (0,)
     level_of = {p: pow2(e) for p in values if p > 0 and (e := floor_log2(p)) >= l_exp - q}
     if len(level_of) < len(values):
         edges = [e for e in edges if e[2] in level_of]
     if any(level != p for p, level in level_of.items()):
         edges = [(u, v, level_of[p]) for u, v, p in edges]
-    return tuple(edges), levels
+    return tuple(edges)
 
 
-def bucket_costs(inst: QkpInstance) -> tuple[dict[int, int], int, int]:
-    """Group vertices into dyadic cost buckets V_1..V_{l+1}.
+def bucket_costs(inst: QkpInstance) -> tuple[tuple[int, ...], int, int]:
+    """Group vertices into dyadic cost buckets V_1..V_{l+1}: the tuple of
+    each vertex's bucket, k and l.
 
     2^k is the smallest power of two at least the top cost and l the
     smallest integer above log2(n); bucket i <= l holds costs in
@@ -178,7 +174,7 @@ def bucket_costs(inst: QkpInstance) -> tuple[dict[int, int], int, int]:
     must be positive (prepare prunes the zero costs first).
     """
     if inst.n == 0:
-        return {}, 0, 1
+        return (), 0, 1
     for v in range(inst.n):
         if inst.cost[v] <= 0:
             raise ValueError(
@@ -187,11 +183,7 @@ def bucket_costs(inst: QkpInstance) -> tuple[dict[int, int], int, int]:
     c_star = max(inst.cost)
     k = ceil_log2(c_star)
     l = inst.n.bit_length()  # the smallest integer above log2(n)
-    bucket_of = {}
-    for v in range(inst.n):
-        i = k + 1 - ceil_log2(inst.cost[v])
-        bucket_of[v] = i if i <= l else l + 1
-    return bucket_of, k, l
+    return tuple(min(k + 1 - ceil_log2(c), l + 1) for c in inst.cost), k, l
 
 
 def prepare(inst: QkpInstance) -> PreparedInstance:
@@ -203,7 +195,7 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
     """
     units, den = to_units(inst.cost + (inst.limit,))
     cost, vprofit, pairs, base_profit, always, orig_of, wdeg, maxp = _walk(inst, units)
-    edges, levels = _rounded_edges(len(cost), pairs)
+    edges = _rounded_edges(len(cost), pairs)
     reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
     bucket_of, k_exp, l_buckets = bucket_costs(reduced)
     return PreparedInstance(
@@ -211,7 +203,6 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
         base_profit=base_profit,
         always_include=always,
         orig_of=orig_of,
-        profit_levels=levels,
         bucket_of=bucket_of,
         k_exp=k_exp,
         l_buckets=l_buckets,

@@ -82,10 +82,3 @@ def rational_to_json(value: Rational):
     if frac.denominator == 1:
         return int(frac)
     return f"{frac.numerator}/{frac.denominator}"
-
-
-def rational_from_json(value) -> Rational:
-    """Inverse of rational_to_json; also accepts exact Fractions."""
-    if isinstance(value, (int, Fraction, str)):
-        return as_rational(value)
-    raise TypeError(f"not a JSON rational: {value!r}")

@@ -805,15 +805,13 @@ def _reference_rounded_edges(n: int, edges):
     p_star = max(p for _, _, p in edges)
     l_exp = floor_log2(p_star)
     q = (n * n).bit_length()
-    levels = tuple(pow2(l_exp - j) for j in range(q + 1)) + (0,)
     cutoff = l_exp - q
     level_of = {}
     for p in {p for _, _, p in edges}:
         e = floor_log2(p)
         if e >= cutoff:
             level_of[p] = pow2(e)
-    rounded = tuple((u, v, level_of[p]) for u, v, p in edges if p in level_of)
-    return rounded, levels
+    return tuple((u, v, level_of[p]) for u, v, p in edges if p in level_of)
 
 
 def reference_fallback_scan(inst: QkpInstance, always, base_profit, units, limit):
@@ -863,9 +861,8 @@ def reference_prepare(inst: QkpInstance) -> PreparedInstance:
     units, den = to_units(inst.cost + (inst.limit,))
     parts, base_profit, always, orig_of = _reference_prune_parts(inst, units)
     cost, vprofit, edges = parts
-    levels = ()
     if edges:
-        edges, levels = _reference_rounded_edges(len(cost), edges)
+        edges = _reference_rounded_edges(len(cost), edges)
     reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
     bucket_of, k_exp, l_buckets = bucket_costs(reduced)
     incident = [[p for a, b, p in inst.edges if v in (a, b)] for v in range(inst.n)]
@@ -874,7 +871,6 @@ def reference_prepare(inst: QkpInstance) -> PreparedInstance:
         base_profit=base_profit,
         always_include=always,
         orig_of=orig_of,
-        profit_levels=levels,
         bucket_of=bucket_of,
         k_exp=k_exp,
         l_buckets=l_buckets,

@@ -245,7 +245,7 @@ def test_replicated_degrees_match_base():
         for b_idx, b in enumerate(rep.b_members):
             for j in range(rep.d):
                 local = n_a + b_idx * rep.d + j
-                assert rep.graph.degree(local) == base_deg[b]
+                assert len(rep.graph.nbrs[local]) == base_deg[b]
 
 
 def test_replication_value_bound_tiny():

@@ -260,6 +260,20 @@ def test_verify_rejects_malformed_vertex_ids(tmp_path, capsys, vertices):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("vertices", ["014", {"0": 1}, 5])
+def test_verify_rejects_a_non_array_vertices_field(tmp_path, capsys, vertices):
+    # a string is not read as its characters, nor an object as its keys
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    write_triangle(inst_path)
+    sol_path.write_text(json.dumps({"vertices": vertices, "cost": 0, "profit": 0}))
+    assert main(["verify", "--input", str(inst_path), "--solution", str(sol_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0].startswith(
+        "error: cannot read solution: expected a vertex array"
+    )
+
+
 def test_verify_rejects_an_instance_that_solve_rejects(tmp_path, capsys):
     # the duplicated edge would be counted twice: profit 6 would verify
     inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"

@@ -199,6 +199,25 @@ def test_everything_pruned_leaves_base_candidate():
     assert sol.total_profit == 0
 
 
+@pytest.mark.parametrize("backend, best_class", [("exact", 0), ("greedy", 3)])
+def test_fallback_scan_wins_and_loses_a_tie_on_the_same_set(backend, best_class):
+    # both edges round to profit 2, so class 3 sees two equal edges: the
+    # exact DkS takes (0, 1), of original profit 2, and the scan's pair
+    # (2, 3), of profit 3, wins; the greedy peel takes (2, 3) itself, and
+    # the class candidate, ranked before the scan, keeps the tie
+    inst = QkpInstance(
+        n=4, cost=(1, 1, 1, 1), vprofit=(0, 0, 0, 0),
+        edges=((0, 1, 2), (2, 3, 3)), limit=2,
+    )
+    sol, report = solve(inst, SolveConfig(dks_backend=backend))
+    assert (sol.vertices, sol.total_cost, sol.total_profit) == ((2, 3), 2, 3)
+    assert report.best_class == best_class
+    assert [(r.class_tag, r.vertices) for r in report.records[1:]] == [
+        (3, (0, 1) if backend == "exact" else (2, 3)),
+        (0, (2, 3)),
+    ]
+
+
 @st.composite
 def _tied_instances(draw):
     """Class 1 first finds the isolated vertices 2 and 3, of profit 6u

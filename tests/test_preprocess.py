@@ -75,27 +75,24 @@ def test_prune_preserves_optimum(inst):
 
 
 def test_round_profits_level_ladder():
-    # n=4, top profit 10: levels 8..1/4 plus 0; profit 3 -> 2; 0.2 dropped
+    # n=4, top profit 10: levels 8..1/4 plus 0; profit 3 -> 2; 1/4, the
+    # lowest level, stays; 1/5 is dropped
     inst = QkpInstance(
         n=4,
         cost=(1, 1, 1, 1),
         vprofit=(0, 0, 0, 0),
-        edges=((0, 1, 10), (1, 2, 3), (2, 3, Fraction(1, 5))),
+        edges=((0, 1, 10), (0, 2, Fraction(1, 4)), (1, 2, 3), (2, 3, Fraction(1, 5))),
         limit=10,
     )
     prep = prepare(inst)
-    assert prep.profit_levels == (8, 4, 2, 1, Fraction(1, 2), Fraction(1, 4), 0)
     by_pair = {(u, v): p for u, v, p in prep.reduced.edges}
-    assert by_pair[(0, 1)] == 8
-    assert by_pair[(1, 2)] == 2
-    assert (2, 3) not in by_pair
+    assert by_pair == {(0, 1): 8, (0, 2): Fraction(1, 4), (1, 2): 2}
 
 
 def test_round_profits_single_edge():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(0, 0), edges=((0, 1, 7),), limit=5)
     prep = prepare(inst)
     assert prep.reduced.edges == ((0, 1, 4),)
-    assert prep.profit_levels[0] == 4
 
 
 def test_round_profits_fixed_point():
@@ -113,7 +110,7 @@ def test_round_profits_no_edges():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(3, 4), edges=(), limit=5)
     prep = prepare(inst)
     assert prep.reduced == inst
-    assert prep.profit_levels == ()
+    assert prep.reduced.edges == ()
 
 
 def test_round_profits_keeps_vertex_profits():
@@ -150,7 +147,8 @@ def test_bucket_costs_small_instance():
 def test_bucket_costs_all_equal_share_bucket():
     inst = QkpInstance(n=5, cost=(6,) * 5, vprofit=(0,) * 5, edges=(), limit=30)
     bucket_of, _, _ = bucket_costs(inst)
-    assert len(set(bucket_of.values())) == 1
+    assert len(bucket_of) == inst.n
+    assert len(set(bucket_of)) == 1
 
 
 def test_bucket_costs_rejects_zero_cost():
@@ -163,8 +161,8 @@ def test_bucket_costs_rejects_zero_cost():
 @settings(max_examples=80)
 def test_bucket_membership_inequality(inst):
     bucket_of, k, l = bucket_costs(inst)
-    assert set(bucket_of) == set(range(inst.n))
-    for v, i in bucket_of.items():
+    assert len(bucket_of) == inst.n
+    for v, i in enumerate(bucket_of):
         c = inst.cost[v]
         if i <= l:
             assert pow2(k - i) < c <= pow2(k + 1 - i)
@@ -218,8 +216,8 @@ def test_prepare_bundles_everything():
     assert prep.always_include == frozenset({0})
     assert prep.reduced.n == 2
     assert prep.reduced.vprofit == (6, 1)  # vertex 1 absorbed the folded edge
-    assert prep.profit_levels[0] == 2  # top remaining rounded profit
-    assert set(prep.bucket_of) == {0, 1}
+    assert max(p for _, _, p in prep.reduced.edges) == 2  # top remaining rounded profit
+    assert len(prep.bucket_of) == prep.reduced.n
     assert prep.l_buckets >= 1
 
 
@@ -227,8 +225,8 @@ def test_prepare_empty_instance():
     inst = QkpInstance(n=0, cost=(), vprofit=(), edges=(), limit=0)
     prep = prepare(inst)
     assert prep.reduced.n == 0
-    assert prep.profit_levels == ()
-    assert prep.bucket_of == {}
+    assert prep.reduced.edges == ()
+    assert prep.bucket_of == ()
 
 
 def test_reduced_instance_is_canonical():
