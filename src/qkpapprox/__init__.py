@@ -7,7 +7,7 @@ are compared in integer units; a candidate's profit is evaluated only when
 a degree bound says it can win or tie.
 """
 
-from .decompose import SubInstance, decompose
+from .decompose import SubInstance, bucket_costs, decompose
 from .dks import (
     EXACT_BACKEND,
     GREEDY_BACKEND,
@@ -31,6 +31,6 @@ from .instance import (
 from .knapsack import knapsack_fptas
 from .oracle import exact_qkp
 from .orchestrator import RunReport, SolveConfig, guaranteed_floor, solve
-from .preprocess import PreparedInstance, bucket_costs, prepare
+from .preprocess import PreparedInstance, prepare
 
 __version__ = "0.1.0"

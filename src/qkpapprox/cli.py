@@ -52,6 +52,13 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _missing_output_dir(*paths) -> int | None:
+    """Fail (2) on the first path whose directory is missing; else None."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            return _fail(f"cannot write output: no directory for {path}", 2)
+
+
 def _load_valid(path: str):
     """(instance, None), or (None, why) when the file at path does not
     read, parse or hold a valid instance."""
@@ -75,9 +82,8 @@ def _solve_one(input_path: str, output_path: str | None, args) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     # fail before the solve, not after it has written a first output
-    for path in (output_path, args.report, args.dump_decomposition):
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            return _fail(f"cannot write output: no directory for {path}", 2)
+    if code := _missing_output_dir(output_path, args.report, args.dump_decomposition):
+        return code
     t0 = time.perf_counter()
     solution, report = solve(inst, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -154,6 +160,8 @@ def cmd_bench(args) -> int:
         cfg = SolveConfig(dks_backend=args.dks, knapsack_eps=args.eps)
     except ValueError as exc:
         return _fail(str(exc), 2)
+    if code := _missing_output_dir(args.json_out):  # before the first trial
+        return code
 
     rows = []
     notices = []

@@ -1,8 +1,10 @@
 """Split a prepared instance into the five structured sub-instance classes.
 
-Every rounded edge is keyed by (bucket of u, bucket of v, profit level)
-and lands in exactly one sub-instance; all vertex profits go to the single
-class-1 sub-instance.  Classes:
+The reduced vertices are grouped into dyadic cost buckets here, by
+bucket_costs(prep.reduced), for this split alone.  Every rounded edge is keyed by
+(bucket of u, bucket of v, profit level) and lands in exactly one
+sub-instance; all vertex profits go to the single class-1 sub-instance.
+Classes:
 
   1: vertex profits only (plain knapsack)
   2: both endpoints in the tail bucket
@@ -27,8 +29,9 @@ thresholds come from the integer pair limit_ratio().
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from .instance import QkpInstance
 from .preprocess import PreparedInstance
-from .rational import Rational, as_rational, pow2, rational_to_json
+from .rational import Rational, as_rational, ceil_log2, pow2, rational_to_json
 
 
 class SubInstance(NamedTuple):
@@ -90,6 +93,25 @@ class SubInstance(NamedTuple):
         }
 
 
+def bucket_costs(inst: QkpInstance) -> tuple[tuple[int, ...], int, int]:
+    """Group vertices into dyadic cost buckets V_1..V_{l+1}: the tuple of
+    each vertex's bucket, k and l.
+
+    2^k is the smallest power of two at least the top cost and l the
+    smallest integer above log2(n); bucket i <= l holds costs in
+    (2^(k-i), 2^(k+1-i)] and bucket l+1 the tail (0, 2^(k-l)].  All costs
+    must be positive (prepare prunes the zero costs first).
+    """
+    if inst.n == 0:
+        return (), 0, 1
+    for v, c in enumerate(inst.cost):
+        if c <= 0:
+            raise ValueError(f"bucket_costs needs positive costs; vertex {v} has {c}")
+    k = ceil_log2(max(inst.cost))
+    l = inst.n.bit_length()  # the smallest integer above log2(n)
+    return tuple(min(k + 1 - ceil_log2(c), l + 1) for c in inst.cost), k, l
+
+
 def decompose(prep: PreparedInstance) -> list[SubInstance]:
     """All sub-instances of the prepared instance, class 1 first.
 
@@ -98,10 +120,8 @@ def decompose(prep: PreparedInstance) -> list[SubInstance]:
     reduced edges groups them by cell.
     """
     inst = prep.reduced
-    l = prep.l_buckets
-    k = prep.k_exp
+    bucket, k, l = bucket_costs(inst)
     tail = l + 1
-    bucket = prep.bucket_of
     shared = (prep.cost_units, prep.limit_units, prep.den)
 
     subs = [SubInstance(1, tuple(range(inst.n)), (), *shared)]

@@ -1,6 +1,7 @@
 """Exact QKP solver for tests and ratio measurement on small instances."""
 
 import os
+from contextlib import suppress
 
 from .errors import CapacityError
 from .instance import QkpInstance, Solution, evaluate
@@ -11,13 +12,15 @@ ENV_MAX_N = "QKP_ORACLE_MAX_N"
 
 
 def _max_n(override):
-    if override is not None:
-        return override
-    text = os.environ.get(ENV_MAX_N, str(DEFAULT_MAX_N))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_N} must be an integer, got {text!r}") from None
+    """override, else the env var; ValueError unless a non-negative int (not bool)."""
+    guard, name = override, "max_n"
+    if guard is None:
+        guard, name = os.environ.get(ENV_MAX_N, str(DEFAULT_MAX_N)), ENV_MAX_N
+        with suppress(ValueError):
+            guard = int(guard)
+    if type(guard) is not int or guard < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {guard!r}")
+    return guard
 
 
 def _greedy_profit(cost, limit, vprofit, later) -> int:
@@ -93,8 +96,8 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     from start itself, or with the greedy set as the best set, could return
     another optimum or none.
 
-    Raises CapacityError when n exceeds the size guard (default 22,
-    overridable via the QKP_ORACLE_MAX_N env var).
+    Raises CapacityError when n exceeds the size guard (default 22, or
+    QKP_ORACLE_MAX_N), and ValueError unless the guard is a non-negative int.
     """
     guard = _max_n(max_n)
     if inst.n > guard:

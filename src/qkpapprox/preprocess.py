@@ -1,10 +1,10 @@
-"""Instance preparation: pruning, profit rounding, cost bucketing.
+"""Instance preparation: pruning, profit rounding, integer cost units.
 
 Pruning removes everything that can never appear in a feasible solution
 and folds zero-cost vertices into a base profit (they are always worth
 taking).  Edge profits are then rounded down onto a dyadic level ladder,
-and vertex costs are grouped into dyadic buckets; both gadgets feed the
-sub-instance decomposition.
+which keys the sub-instance decomposition, and the surviving costs and
+the limit are scaled to integer units by one factor.
 
 prepare's one walk over the original edges, the only one in a solve, also
 gathers the candidate bounds' terms and the fallback scan's pairs.
@@ -14,24 +14,21 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .instance import QkpInstance
-from .rational import Rational, as_rational, ceil_log2, floor_log2, pow2, to_units
+from .rational import Rational, as_rational, floor_log2, pow2, to_units
 
 
 @dataclass(frozen=True)
 class PreparedInstance:
-    """Pruned, rounded and bucketed instance plus lift-back metadata.
+    """Pruned and rounded instance plus lift-back metadata.
 
     reduced is the pruned instance over dense reduced ids, with folded
     vertex profits and rounded edge profits; orig_of maps a reduced id to
     its original id.  always_include holds the original ids of the folded
     zero-cost vertices, and base_profit is their profit together.
-    bucket_of[r] is reduced vertex r's dyadic cost bucket 1..l_buckets+1,
-    where bucket l_buckets+1 is the tail of costs <= 2**(k_exp - l_buckets).
 
     Costs in integer units: den is the lcm of the denominators of the
-    original costs and the limit.  orig_cost_units[v] is the original
-    vertex v's cost * den, cost_units[r] is reduced.cost[r] * den and
-    limit_units is the limit * den, all ints.
+    original costs and the limit.  cost_units[r] is reduced.cost[r] * den
+    and limit_units is the limit * den, both ints.
 
     By original id, weighted_degree[v] sums v's edge profits and
     max_edge_profit[v] is the largest (0 if none).  fallback is the
@@ -44,13 +41,9 @@ class PreparedInstance:
     base_profit: Rational
     always_include: frozenset
     orig_of: tuple[int, ...]
-    bucket_of: tuple[int, ...]
-    k_exp: int
-    l_buckets: int
     den: int
     cost_units: tuple[int, ...]
     limit_units: int
-    orig_cost_units: tuple[int, ...]
     weighted_degree: tuple[Rational, ...]
     max_edge_profit: tuple[Rational, ...]
     fallback: tuple[Rational, tuple[int, ...]]
@@ -164,31 +157,9 @@ def _rounded_edges(n: int, edges) -> tuple:
     return tuple(edges)
 
 
-def bucket_costs(inst: QkpInstance) -> tuple[tuple[int, ...], int, int]:
-    """Group vertices into dyadic cost buckets V_1..V_{l+1}: the tuple of
-    each vertex's bucket, k and l.
-
-    2^k is the smallest power of two at least the top cost and l the
-    smallest integer above log2(n); bucket i <= l holds costs in
-    (2^(k-i), 2^(k+1-i)] and bucket l+1 the tail (0, 2^(k-l)].  All costs
-    must be positive (prepare prunes the zero costs first).
-    """
-    if inst.n == 0:
-        return (), 0, 1
-    for v in range(inst.n):
-        if inst.cost[v] <= 0:
-            raise ValueError(
-                f"bucket_costs needs positive costs; vertex {v} has {inst.cost[v]}"
-            )
-    c_star = max(inst.cost)
-    k = ceil_log2(c_star)
-    l = inst.n.bit_length()  # the smallest integer above log2(n)
-    return tuple(min(k + 1 - ceil_log2(c), l + 1) for c in inst.cost), k, l
-
-
 def prepare(inst: QkpInstance) -> PreparedInstance:
-    """Full preparation pipeline: pruning and folding (_walk), edge-profit
-    rounding (_rounded_edges; vertex profits stay untouched), bucketing.
+    """Full preparation pipeline: pruning and folding (_walk), then
+    edge-profit rounding (_rounded_edges; vertex profits stay untouched).
 
     The reduced instance takes inst's values, already in canonical form,
     without converting them again.
@@ -197,19 +168,14 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
     cost, vprofit, pairs, base_profit, always, orig_of, wdeg, maxp = _walk(inst, units)
     edges = _rounded_edges(len(cost), pairs)
     reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
-    bucket_of, k_exp, l_buckets = bucket_costs(reduced)
     return PreparedInstance(
         reduced=reduced,
         base_profit=base_profit,
         always_include=always,
         orig_of=orig_of,
-        bucket_of=bucket_of,
-        k_exp=k_exp,
-        l_buckets=l_buckets,
         den=den,
         cost_units=tuple(units[v] for v in orig_of),
         limit_units=units[-1],
-        orig_cost_units=tuple(units[:-1]),
         weighted_degree=wdeg,
         max_edge_profit=maxp,
         fallback=_fallback(vprofit, pairs, base_profit, always, orig_of),

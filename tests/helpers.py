@@ -20,11 +20,11 @@ from qkpapprox.classsolvers import (
     solve_class4,
     solve_class5,
 )
-from qkpapprox.decompose import SubInstance, decompose
+from qkpapprox.decompose import SubInstance, bucket_costs, decompose
 from qkpapprox.dks import UGraph
 from qkpapprox.instance import QkpInstance, Solution, evaluate
 from qkpapprox.orchestrator import RunReport, SubRecord, _beats
-from qkpapprox.preprocess import PreparedInstance, bucket_costs, prepare
+from qkpapprox.preprocess import PreparedInstance, prepare
 from qkpapprox.rational import Rational, as_rational, floor_log2, pow2, to_units
 
 
@@ -864,20 +864,15 @@ def reference_prepare(inst: QkpInstance) -> PreparedInstance:
     if edges:
         edges = _reference_rounded_edges(len(cost), edges)
     reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
-    bucket_of, k_exp, l_buckets = bucket_costs(reduced)
     incident = [[p for a, b, p in inst.edges if v in (a, b)] for v in range(inst.n)]
     return PreparedInstance(
         reduced=reduced,
         base_profit=base_profit,
         always_include=always,
         orig_of=orig_of,
-        bucket_of=bucket_of,
-        k_exp=k_exp,
-        l_buckets=l_buckets,
         den=den,
         cost_units=tuple(units[v] for v in orig_of),
         limit_units=units[-1],
-        orig_cost_units=tuple(units[:-1]),
         weighted_degree=tuple(sum(ps, 0) for ps in incident),
         max_edge_profit=tuple(max(ps, default=0) for ps in incident),
         fallback=reference_fallback_scan(inst, always, base_profit, units, units[-1]),
@@ -886,11 +881,10 @@ def reference_prepare(inst: QkpInstance) -> PreparedInstance:
 
 def reference_decompose(prep: PreparedInstance) -> list[SubInstance]:
     """decompose as it was before its one cell pass: buckets read from
-    prep.bucket_of per edge, a setdefault list per cell, each
+    bucket_costs(prep.reduced) per edge, a setdefault list per cell, each
     sub-instance built by keyword."""
     inst = prep.reduced
-    l = prep.l_buckets
-    k = prep.k_exp
+    bucket_of, k, l = bucket_costs(inst)
     tail = l + 1
     units = {"cost_units": prep.cost_units, "limit_units": prep.limit_units, "den": prep.den}
 
@@ -905,7 +899,7 @@ def reference_decompose(prep: PreparedInstance) -> list[SubInstance]:
 
     cells: dict[tuple[int, int, Rational], list[tuple[int, int]]] = {}
     for u, v, p in inst.edges:
-        bu, bv = prep.bucket_of[u], prep.bucket_of[v]
+        bu, bv = bucket_of[u], bucket_of[v]
         key = (bu, bv, p) if bu <= bv else (bv, bu, p)
         cells.setdefault(key, []).append((u, v))
 
@@ -923,8 +917,8 @@ def reference_decompose(prep: PreparedInstance) -> list[SubInstance]:
             tag = 4 if b_hi == tail else 5
             exp, d_gap = k - j, pow2(j - b_lo)
             buckets = (tail, b_lo) if tag == 4 else (b_lo, b_hi)
-            part_a = tuple(v for v in members if prep.bucket_of[v] == b_hi)
-            part_b = tuple(v for v in members if prep.bucket_of[v] == b_lo)
+            part_a = tuple(v for v in members if bucket_of[v] == b_hi)
+            part_b = tuple(v for v in members if bucket_of[v] == b_lo)
         subs.append(
             SubInstance(
                 class_tag=tag,
@@ -944,11 +938,13 @@ def reference_decompose(prep: PreparedInstance) -> list[SubInstance]:
 
 def reference_solve(inst: QkpInstance, cfg) -> tuple[Solution, RunReport]:
     """solve with every feasible candidate evaluated, in solve order, and
-    the fallback scan taken from the original edges."""
+    the fallback scan taken from the original edges.  Lifted candidates
+    are costed in original-id units, not in prepare's reduced ones."""
     backend = cfg.dks_backend
     prep = prepare(inst)
     always = prep.always_include
-    units, limit = prep.orig_cost_units, prep.limit_units
+    units, _ = to_units(inst.cost + (inst.limit,))
+    limit = units[-1]
     best = None
     records = []
     for sub in decompose(prep):
@@ -974,10 +970,12 @@ def ungated_best(inst: QkpInstance, cfg):
     class solver, also one that fits its limit whole (solve takes that one
     whole): each candidate lifted to original ids with the always-include
     set, the best feasible one's original profit, the fallback scan
-    included.  Every candidate is evaluated."""
+    included.  Every candidate is evaluated, and costed in original-id
+    units."""
     backend = cfg.dks_backend
     prep = prepare(inst)
-    units, limit = prep.orig_cost_units, prep.limit_units
+    units, _ = to_units(inst.cost + (inst.limit,))
+    limit = units[-1]
     best = prep.fallback[0]
     for sub in decompose(prep):
         if sub.class_tag == 1:

@@ -365,6 +365,23 @@ def test_bench_rejects_non_integer_oracle_guard(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: QKP_ORACLE_MAX_N")
 
 
+def test_bench_rejects_a_negative_oracle_guard(monkeypatch, capsys):
+    # a guard of -1 would skip every trial and exit 0
+    monkeypatch.setenv("QKP_ORACLE_MAX_N", "-1")
+    assert main(["bench", "--trials", "1", "--n-range", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: QKP_ORACLE_MAX_N must be a non-negative int, got -1\n"
+
+
+def test_bench_json_out_into_a_missing_directory_fails_before_any_trial(tmp_path, capsys):
+    path = tmp_path / "missing" / "b.json"
+    assert main(["bench", "--trials", "1", "--n-range", "5", "--json-out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write output: no directory for {path}\n"
+
+
 def test_bench_deterministic_output(tmp_path, capsys):
     args = ["bench", "--trials", "4", "--n-range", "4:7", "--seed", "5"]
     assert main(args) == 0

@@ -16,7 +16,7 @@ from helpers import (
     subinstance_as_qkp,
     subinstance_count_bound,
 )
-from qkpapprox.decompose import SubInstance, decompose
+from qkpapprox.decompose import SubInstance, bucket_costs, decompose
 from qkpapprox.instance import QkpInstance
 from qkpapprox.preprocess import prepare
 from qkpapprox.rational import pow2
@@ -79,7 +79,7 @@ def test_two_levels_two_bucket_pairs_make_five_subs():
         limit=64,
     )
     prep = prepare(inst)
-    assert prep.l_buckets == 4
+    assert bucket_costs(prep.reduced)[2] == 4
     subs = decompose(prep)
     assert len(subs) == 5
     tags = sorted(s.class_tag for s in subs)
@@ -116,7 +116,8 @@ def test_class4_orientation_and_scaling():
     sub = four[0]
     assert set(sub.part_b) == {0, 1}
     assert set(sub.part_a) == {2, 3}
-    assert sub.cost_scale == pow2(prep.k_exp - prep.l_buckets)
+    _, k, l = bucket_costs(prep.reduced)
+    assert sub.cost_scale == pow2(k - l)
     for v in sub.part_a:
         assert 0 < scaled_cost(sub, v) <= 1
     for v in sub.part_b:

@@ -172,3 +172,12 @@ def test_env_override_must_be_an_integer(monkeypatch):
     monkeypatch.setenv("QKP_ORACLE_MAX_N", "abc")
     with pytest.raises(ValueError, match="QKP_ORACLE_MAX_N"):
         exact_qkp(inst)
+
+
+@pytest.mark.parametrize("guard", [-1, True, 6.5, "30"])
+def test_size_guard_must_be_a_non_negative_int(guard):
+    # True would read as 1 and 6.5 as a bound; "30" would compare as a TypeError
+    # (a negative QKP_ORACLE_MAX_N: tests/test_cli.py)
+    inst = QkpInstance(n=2, cost=(1, 1), vprofit=(1, 1), edges=(), limit=1)
+    with pytest.raises(ValueError, match="max_n must be a non-negative int"):
+        exact_qkp(inst, max_n=guard)

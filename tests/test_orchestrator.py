@@ -74,6 +74,13 @@ def test_floor_values():
         guaranteed_floor(0)
 
 
+@pytest.mark.parametrize("n", [2.5, True, Fraction(8), "8"])
+def test_floor_needs_an_int_n(n):
+    # 2.5 raised AttributeError, True read as 1, Fraction(8) as 8
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
+        guaranteed_floor(n)
+
+
 def test_invalid_instance_rejected():
     # the constructor refuses it, so solve never sees an invalid instance
     with pytest.raises(ValueError):

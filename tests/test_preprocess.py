@@ -1,4 +1,4 @@
-"""prepare: pruning, profit rounding and cost bucketing."""
+"""prepare: pruning and profit rounding; bucket_costs, which decompose calls."""
 
 import random
 from fractions import Fraction
@@ -15,8 +15,9 @@ from helpers import (
     reference_prepare,
     unrounded_reduced,
 )
+from qkpapprox.decompose import bucket_costs
 from qkpapprox.instance import QkpInstance
-from qkpapprox.preprocess import bucket_costs, prepare
+from qkpapprox.preprocess import prepare
 from qkpapprox.rational import pow2
 
 
@@ -217,8 +218,9 @@ def test_prepare_bundles_everything():
     assert prep.reduced.n == 2
     assert prep.reduced.vprofit == (6, 1)  # vertex 1 absorbed the folded edge
     assert max(p for _, _, p in prep.reduced.edges) == 2  # top remaining rounded profit
-    assert len(prep.bucket_of) == prep.reduced.n
-    assert prep.l_buckets >= 1
+    bucket_of, _, l = bucket_costs(prep.reduced)
+    assert len(bucket_of) == prep.reduced.n
+    assert l >= 1
 
 
 def test_prepare_empty_instance():
@@ -226,7 +228,7 @@ def test_prepare_empty_instance():
     prep = prepare(inst)
     assert prep.reduced.n == 0
     assert prep.reduced.edges == ()
-    assert prep.bucket_of == ()
+    assert bucket_costs(prep.reduced)[0] == ()
 
 
 def test_reduced_instance_is_canonical():

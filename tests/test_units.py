@@ -53,7 +53,7 @@ def test_units_match_their_fraction_definitions(inst):
     prep = prepare(inst)
     red = prep.reduced
     assert prep.limit_units == red.limit * prep.den
-    assert all(u == c * prep.den for u, c in zip(prep.orig_cost_units, inst.cost))
+    assert all(prep.cost_units[r] == inst.cost[v] * prep.den for r, v in enumerate(prep.orig_of))
     assert all(u == c * prep.den for u, c in zip(prep.cost_units, red.cost))
     assert all(isinstance(u, int) for u in prep.cost_units + (prep.limit_units,))
     for sub in decompose(prep):
