@@ -88,7 +88,7 @@ def replicate(sub: SubInstance) -> ReplicatedGraph:
         d=d,
         a_members=part_a,
         b_members=part_b,
-        graph=UGraph.from_rows(n_a + d * len(part_b), tuple(rows)),
+        graph=UGraph.from_rows(tuple(rows)),
     )
 
 
@@ -185,7 +185,7 @@ def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
         i, j = local[u], local[v]
         rows[i].append(j)
         rows[j].append(i)
-    graph = UGraph.from_rows(len(members), tuple(map(tuple, rows)))
+    graph = UGraph.from_rows(tuple(map(tuple, rows)))
     chosen, fallbacks = _dks_with_fallback(graph, t, backend)
     return ClassOutcome(
         tuple(sorted(members[i] for i in chosen)), "dks", fallbacks

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from fractions import Fraction
 
 from .decompose import decompose
@@ -26,7 +27,7 @@ from .instance import (
     load_instance,
 )
 from .knapsack import DEFAULT_KNAPSACK_EPS
-from .oracle import exact_qkp
+from .oracle import DEFAULT_MAX_N, _checked_max_n, exact_qkp
 from .orchestrator import SolveConfig, guaranteed_floor, solve
 from .preprocess import prepare
 from .rational import as_rational, rational_to_json
@@ -70,20 +71,10 @@ def _load_valid(path: str):
         return None, f"cannot read instance: {exc}"
 
 
-def _solve_one(input_path: str, output_path: str | None, args) -> int:
+def _solve_one(input_path: str, output_path: str | None, cfg: SolveConfig, args) -> int:
     inst, error = _load_valid(input_path)
     if error:
         return _fail(error, 2)
-    try:
-        backend = get_backend(args.dks)
-        if args.alpha is not None:
-            backend = dataclasses.replace(backend, declared_alpha=args.alpha)
-        cfg = SolveConfig(dks_backend=backend, knapsack_eps=args.eps)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    # fail before the solve, not after it has written a first output
-    if code := _missing_output_dir(output_path, args.report, args.dump_decomposition):
-        return code
     t0 = time.perf_counter()
     solution, report = solve(inst, cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -104,13 +95,25 @@ def _solve_one(input_path: str, output_path: str | None, args) -> int:
 
 
 def cmd_solve(args) -> int:
+    try:
+        backend = get_backend(args.dks)
+        if args.alpha is not None:
+            backend = dataclasses.replace(backend, declared_alpha=args.alpha)
+        cfg = SolveConfig(dks_backend=backend, knapsack_eps=args.eps)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
     if not os.path.isdir(args.input):
-        return _solve_one(args.input, args.output, args)
+        # fail before the solve, not after it has written a first output
+        if code := _missing_output_dir(args.output, args.report, args.dump_decomposition):
+            return code
+        return _solve_one(args.input, args.output, cfg, args)
     # batch mode: one instance per file, solutions mirror the file names
     if not args.output:
         return _fail("batch solve needs --output pointing at a directory", 2)
     if args.report or args.dump_decomposition:
         return _fail("--report/--dump-decomposition are single-instance flags", 2)
+    if os.path.realpath(args.output) == os.path.realpath(args.input):
+        return _fail("--output is the --input directory: solutions would overwrite instances", 2)
     os.makedirs(args.output, exist_ok=True)
     names = sorted(
         name for name in os.listdir(args.input) if name.endswith(".json")
@@ -119,7 +122,7 @@ def cmd_solve(args) -> int:
         return _fail(f"no .json instances in {args.input}", 2)
     for name in names:
         code = _solve_one(
-            os.path.join(args.input, name), os.path.join(args.output, name), args
+            os.path.join(args.input, name), os.path.join(args.output, name), cfg, args
         )
         if code != 0:
             return code
@@ -158,6 +161,11 @@ def cmd_bench(args) -> int:
     try:
         lo, hi = _parse_n_range(args.n_range)
         cfg = SolveConfig(dks_backend=args.dks, knapsack_eps=args.eps)
+        # the oracle's size guard, read once for the whole run
+        max_n = os.environ.get("QKP_ORACLE_MAX_N", str(DEFAULT_MAX_N))
+        with suppress(ValueError):
+            max_n = int(max_n)
+        max_n = _checked_max_n(max_n, "QKP_ORACLE_MAX_N")
     except ValueError as exc:
         return _fail(str(exc), 2)
     if code := _missing_output_dir(args.json_out):  # before the first trial
@@ -171,11 +179,11 @@ def cmd_bench(args) -> int:
         seed = args.seed + trial
         try:
             inst = _draw(args, n, seed)
-            opt = exact_qkp(inst)
+            opt = exact_qkp(inst, max_n)
         except CapacityError:
             notices.append(f"trial {trial}: oracle capacity exceeded at n={n}, skipped")
             continue
-        except ValueError as exc:
+        except ValueError as exc:  # a generator flag out of range
             return _fail(str(exc), 2)
         sol, report = solve(inst, cfg)
         floor = guaranteed_floor(n)

@@ -41,14 +41,14 @@ DEFAULT_BUDGET = 60_000
 @dataclass(frozen=True, init=False)
 class UGraph:
     """Undirected unweighted graph on vertices 0..n-1, held as neighbour
-    rows: nbrs[v] is the ascending tuple of v's neighbours.
+    rows: nbrs[v] is the ascending tuple of v's neighbours, and n, the
+    vertex count, is the number of rows.
 
     UGraph(n, edges) checks its input: n and every endpoint must be a
     non-negative int (bool excluded), endpoints below n and no self-loops.
     Repeated edges, in either orientation, are kept once.
     """
 
-    n: int
     nbrs: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, edges):
@@ -61,18 +61,20 @@ class UGraph:
                 raise ValueError(f"bad edge ({u!r},{v!r}) for n={n}")
             rows[u].add(v)
             rows[v].add(u)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "nbrs", tuple(tuple(sorted(row)) for row in rows))
 
     @classmethod
-    def from_rows(cls, n: int, nbrs: tuple[tuple[int, ...], ...]) -> "UGraph":
-        """A graph from rows already canonical: n rows, each ascending,
-        without repeats or v itself, u in nbrs[v] exactly when v is in
-        nbrs[u].  Nothing is checked."""
+    def from_rows(cls, nbrs: tuple[tuple[int, ...], ...]) -> "UGraph":
+        """A graph from rows already canonical: each ascending, without
+        repeats or v itself, u in nbrs[v] exactly when v is in nbrs[u].
+        Nothing is checked."""
         graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "nbrs", nbrs)
         return graph
+
+    @property
+    def n(self) -> int:
+        return len(self.nbrs)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -107,21 +109,23 @@ def _checked_k(k) -> int:
 
 
 def solve_dks(graph: UGraph, k: int, backend: DksBackend) -> tuple[int, ...]:
-    """Exactly min(k, n) distinct vertices chosen by the backend (else
-    RuntimeError); deterministic."""
+    """Exactly min(k, n) distinct vertices chosen by the backend, sorted
+    (else RuntimeError: also for an id that is not an int); deterministic."""
     k_eff = min(_checked_k(k), graph.n)
     if k_eff == 0:
         return ()
     if k_eff == graph.n:
         return tuple(range(graph.n))
-    chosen = tuple(sorted(backend.solver(graph, k_eff)))
-    sized = len(set(chosen)) == len(chosen) == k_eff
-    if not (sized and 0 <= chosen[0] and chosen[-1] < graph.n):
-        raise RuntimeError(
-            f"backend {backend.name} returned {chosen}, wanted {k_eff}"
-            f" distinct vertices of 0..{graph.n - 1}"
-        )
-    return chosen
+    chosen = tuple(backend.solver(graph, k_eff))
+    # a float, bool, None or str id is no vertex: it passes the range test or fails the sort
+    if all(type(v) is int for v in chosen):
+        chosen = tuple(sorted(chosen))
+        if len(set(chosen)) == len(chosen) == k_eff and 0 <= chosen[0] and chosen[-1] < graph.n:
+            return chosen
+    raise RuntimeError(
+        f"backend {backend.name} returned {chosen}, wanted {k_eff}"
+        f" distinct vertices of 0..{graph.n - 1}"
+    )
 
 
 def _neighbor_masks(graph: UGraph) -> list[int]:

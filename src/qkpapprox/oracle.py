@@ -1,23 +1,15 @@
 """Exact QKP solver for tests and ratio measurement on small instances."""
 
-import os
-from contextlib import suppress
-
 from .errors import CapacityError
 from .instance import QkpInstance, Solution, evaluate
 from .rational import to_units
 
 DEFAULT_MAX_N = 22
-ENV_MAX_N = "QKP_ORACLE_MAX_N"
 
 
-def _max_n(override):
-    """override, else the env var; ValueError unless a non-negative int (not bool)."""
-    guard, name = override, "max_n"
-    if guard is None:
-        guard, name = os.environ.get(ENV_MAX_N, str(DEFAULT_MAX_N)), ENV_MAX_N
-        with suppress(ValueError):
-            guard = int(guard)
+def _checked_max_n(guard, name: str = "max_n") -> int:
+    """guard itself, or ValueError unless it is a non-negative int (bool
+    excluded); name is the message's name for it."""
     if type(guard) is not int or guard < 0:
         raise ValueError(f"{name} must be a non-negative int, got {guard!r}")
     return guard
@@ -55,7 +47,7 @@ def _greedy_profit(cost, limit, vprofit, later) -> int:
     return profit
 
 
-def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
+def exact_qkp(inst: QkpInstance, max_n: int = DEFAULT_MAX_N) -> Solution:
     """Optimal feasible vertex set by branch and bound.
 
     Vertices are decided in id order, include branch first, by a
@@ -96,12 +88,11 @@ def exact_qkp(inst: QkpInstance, max_n: int | None = None) -> Solution:
     from start itself, or with the greedy set as the best set, could return
     another optimum or none.
 
-    Raises CapacityError when n exceeds the size guard (default 22, or
-    QKP_ORACLE_MAX_N), and ValueError unless the guard is a non-negative int.
+    Raises CapacityError when n exceeds max_n (22 by default), the guard's
+    one source, and ValueError unless max_n is a non-negative int.
     """
-    guard = _max_n(max_n)
-    if inst.n > guard:
-        raise CapacityError(f"oracle limited to n <= {guard}, got n = {inst.n}")
+    if inst.n > _checked_max_n(max_n):
+        raise CapacityError(f"oracle limited to n <= {max_n}, got n = {inst.n}")
 
     n = inst.n
     cost, _ = to_units([*inst.cost, inst.limit])

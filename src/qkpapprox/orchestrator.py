@@ -119,7 +119,7 @@ def guaranteed_floor(n: int) -> Fraction:
     return Fraction(1, 64 * (2 * (ceil_log2(n) + 1) ** 3 + 1))
 
 
-def _solve_sub(sub, reduced, backend, cfg):
+def _solve_sub(sub, reduced, cfg):
     """One sub-instance's outcome, in reduced ids.
 
     Class 1 is the knapsack on the reduced vertex profits.  A class 2-5
@@ -138,15 +138,18 @@ def _solve_sub(sub, reduced, backend, cfg):
         items = list(zip(reduced.cost, reduced.vprofit))
         picked = knapsack_fptas(items, reduced.limit, cfg.knapsack_eps)
         return ClassOutcome(picked, "knapsack")
-    if sum(map(sub.cost_units.__getitem__, sub.vertices)) <= sub.limit_units:
+    units, total = sub.cost_units, 0
+    for v in sub.vertices:  # a plain loop, as in solve: sum(map()) is slower here
+        total += units[v]
+    if total <= sub.limit_units:
         return ClassOutcome(sub.vertices, "sum_all")
     if sub.class_tag == 2:
         return solve_class2(sub)
     if sub.class_tag == 3:
-        return solve_class3(sub, backend)
+        return solve_class3(sub, cfg.dks_backend)
     if sub.class_tag == 4:
         return solve_class4(sub, eps=cfg.knapsack_eps)
-    return solve_class5(sub, backend, eps=cfg.knapsack_eps)
+    return solve_class5(sub, cfg.dks_backend, eps=cfg.knapsack_eps)
 
 
 def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, RunReport]:
@@ -169,7 +172,6 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     record is the last one.
     """
     cfg = cfg or SolveConfig()
-    backend = cfg.dks_backend
 
     prep = prepare(inst)
     subs = decompose(prep)
@@ -182,7 +184,7 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     records = []
     ranked = []  # (B(S), S, class tag): feasible candidates in solve order, then the scan
     for sub in subs:
-        outcome = _solve_sub(sub, prep.reduced, backend, cfg)
+        outcome = _solve_sub(sub, prep.reduced, cfg)
         verts = tuple(sorted(always + [orig_of[r] for r in outcome.vertices]))
         cap, cost, bound = len(verts) - 1, 0, 0
         for r in outcome.vertices:  # plain loops: sum(map()) and min() cost 2-5% on small solves
@@ -211,6 +213,6 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     profit, best_verts, best_class, cost = best
     solution = Solution(best_verts, cost, profit)
     report = RunReport(
-        tuple(records), solution, best_class, backend.name, cfg.knapsack_eps, inst
+        tuple(records), solution, best_class, cfg.dks_backend.name, cfg.knapsack_eps, inst
     )
     return solution, report

@@ -948,7 +948,7 @@ def reference_solve(inst: QkpInstance, cfg) -> tuple[Solution, RunReport]:
     best = None
     records = []
     for sub in decompose(prep):
-        outcome = orchestrator._solve_sub(sub, prep.reduced, backend, cfg)
+        outcome = orchestrator._solve_sub(sub, prep.reduced, cfg)
         verts = tuple(sorted(always.union(prep.orig_of[r] for r in outcome.vertices)))
         feasible = sum(units[v] for v in verts) <= limit
         if feasible:
@@ -979,7 +979,7 @@ def ungated_best(inst: QkpInstance, cfg):
     best = prep.fallback[0]
     for sub in decompose(prep):
         if sub.class_tag == 1:
-            outcome = orchestrator._solve_sub(sub, prep.reduced, backend, cfg)
+            outcome = orchestrator._solve_sub(sub, prep.reduced, cfg)
         elif sub.class_tag == 2:
             outcome = solve_class2(sub)
         elif sub.class_tag == 3:

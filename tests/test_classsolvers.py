@@ -59,7 +59,7 @@ def solve_tail(sub):
     """A class-2 sub-instance on the path solve runs: a tail that fits is
     taken whole by the orchestrator, and only an overflowing one reaches
     solve_class2."""
-    return orchestrator._solve_sub(sub, None, GREEDY_BACKEND, SolveConfig())
+    return orchestrator._solve_sub(sub, None, SolveConfig(dks_backend=GREEDY_BACKEND))
 
 
 def test_class2_takes_everything():

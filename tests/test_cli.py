@@ -359,6 +359,16 @@ def test_bench_skips_oversized_oracle(tmp_path, capsys, monkeypatch):
     assert "skipped" in out
 
 
+def test_bench_raises_the_oracle_guard_from_the_environment(monkeypatch, capsys):
+    # n = 24 is past the default guard of 22: skipped, until the variable lifts it
+    args = ["bench", "--trials", "1", "--n-range", "24", "--dks", "exact"]
+    assert main(args) == 0
+    assert "trial 0: oracle capacity exceeded at n=24, skipped" in capsys.readouterr().out
+    monkeypatch.setenv("QKP_ORACLE_MAX_N", "24")
+    assert main(args) == 0
+    assert "skipped" not in capsys.readouterr().out
+
+
 def test_bench_rejects_non_integer_oracle_guard(monkeypatch, capsys):
     monkeypatch.setenv("QKP_ORACLE_MAX_N", "abc")
     assert main(["bench", "--trials", "1", "--n-range", "5"]) == 2
@@ -413,6 +423,20 @@ def test_solve_batch_requires_output_dir(tmp_path):
     in_dir = tmp_path / "instances"
     in_dir.mkdir()
     assert main(["solve", "--input", str(in_dir)]) == 2
+
+
+def test_solve_batch_refuses_to_write_over_its_input(tmp_path, capsys):
+    in_dir = tmp_path / "instances"
+    in_dir.mkdir()
+    write_triangle(in_dir / "tri.json")
+    before = (in_dir / "tri.json").read_bytes()
+    same = tmp_path / "link"
+    same.symlink_to(in_dir)
+    for output in (in_dir, same):
+        assert main(["solve", "--input", str(in_dir), "--output", str(output)]) == 2
+        assert capsys.readouterr().err.startswith("error: --output is the --input directory")
+    assert (in_dir / "tri.json").read_bytes() == before
+    assert [p.name for p in in_dir.iterdir()] == ["tri.json"]
 
 
 def test_solve_batch_output_is_an_existing_file(tmp_path, capsys):

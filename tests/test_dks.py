@@ -1,5 +1,6 @@
 """Densest-k-subgraph backends."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -121,6 +122,15 @@ def test_solve_dks_rejects_repeated_or_out_of_range_ids(answer):
         solve_dks(path, 2, stub)
 
 
+@pytest.mark.parametrize("answer", [(1.5, 2), (0.0, 1), (True, 2), (None, 1), ("0", "1")])
+def test_solve_dks_rejects_ids_that_are_not_ints(answer):
+    # a float or bool id passes the range test, and None or a str fails the sort
+    path = UGraph(4, ((0, 1), (1, 2), (2, 3)))
+    stub = DksBackend("stub", 0, lambda graph, k: answer)
+    with pytest.raises(RuntimeError, match="distinct vertices of 0..3"):
+        solve_dks(path, 2, stub)
+
+
 @pytest.mark.parametrize("k", [1.5, 2.5, True, False, -1, "2"])
 def test_entry_points_reject_a_k_that_is_not_a_nonnegative_int(k):
     path = UGraph(4, ((0, 1), (1, 2), (2, 3)))
@@ -158,7 +168,14 @@ def test_graph_rows_are_ascending_and_symmetric():
     assert g.nbrs == ((2, 3, 4), (3,), (0,), (0, 1), (0,))
     assert g.edges == ((0, 2), (0, 3), (0, 4), (1, 3))
     assert [len(g.nbrs[v]) for v in range(5)] == [3, 1, 1, 2, 1]
-    assert UGraph.from_rows(5, g.nbrs) == g
+    assert UGraph.from_rows(g.nbrs) == g
+
+
+def test_graph_size_is_its_row_count():
+    rows = ((1,), (0,), ())
+    assert UGraph.from_rows(rows).n == len(rows) == 3
+    assert UGraph(4, ()).n == 4
+    assert [f.name for f in dataclasses.fields(UGraph)] == ["nbrs"]
 
 
 @st.composite

@@ -159,24 +159,17 @@ def test_size_guard():
     assert exact_qkp(inst, max_n=30).total_profit == 5
 
 
-def test_env_override(monkeypatch):
-    inst = QkpInstance(n=24, cost=(1,) * 24, vprofit=(1,) * 24, edges=(), limit=3)
-    with pytest.raises(CapacityError):
-        exact_qkp(inst)
-    monkeypatch.setenv("QKP_ORACLE_MAX_N", "24")
+@pytest.mark.parametrize("env", ["5", "abc"])
+def test_guard_ignores_the_environment(monkeypatch, env):
+    # only qkp bench reads QKP_ORACLE_MAX_N; the library takes max_n alone
+    monkeypatch.setenv("QKP_ORACLE_MAX_N", env)
+    inst = QkpInstance(n=12, cost=(1,) * 12, vprofit=(1,) * 12, edges=(), limit=3)
     assert exact_qkp(inst).total_profit == 3
 
 
-def test_env_override_must_be_an_integer(monkeypatch):
-    inst = QkpInstance(n=2, cost=(1, 1), vprofit=(1, 1), edges=(), limit=1)
-    monkeypatch.setenv("QKP_ORACLE_MAX_N", "abc")
-    with pytest.raises(ValueError, match="QKP_ORACLE_MAX_N"):
-        exact_qkp(inst)
-
-
-@pytest.mark.parametrize("guard", [-1, True, 6.5, "30"])
+@pytest.mark.parametrize("guard", [-1, True, 6.5, "30", None])
 def test_size_guard_must_be_a_non_negative_int(guard):
-    # True would read as 1 and 6.5 as a bound; "30" would compare as a TypeError
+    # True would read as 1 and 6.5 as a bound; "30" or None would compare as a TypeError
     # (a negative QKP_ORACLE_MAX_N: tests/test_cli.py)
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(1, 1), edges=(), limit=1)
     with pytest.raises(ValueError, match="max_n must be a non-negative int"):
