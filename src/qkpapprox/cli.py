@@ -27,10 +27,10 @@ from .instance import (
     load_instance,
 )
 from .knapsack import DEFAULT_KNAPSACK_EPS
-from .oracle import DEFAULT_MAX_N, _checked_max_n, exact_qkp
+from .oracle import DEFAULT_MAX_N, exact_qkp
 from .orchestrator import SolveConfig, guaranteed_floor, solve
 from .preprocess import prepare
-from .rational import as_rational, rational_to_json
+from .rational import as_rational, non_negative_int, rational_to_json
 
 
 def _rational_arg(text: str):
@@ -58,6 +58,18 @@ def _missing_output_dir(*paths) -> int | None:
     for path in paths:
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             return _fail(f"cannot write output: no directory for {path}", 2)
+
+
+def _shared_path(input_path: str, outputs: dict) -> int | None:
+    """Fail (2) on the first output path, by flag, that resolves to the
+    input or to an earlier output, which a write would replace; else None."""
+    seen = {os.path.realpath(input_path): "--input"}
+    for flag, path in outputs.items():
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in seen:
+                return _fail(f"{flag} is the same file as {seen[real]}: a write would replace it", 2)
+            seen[real] = flag
 
 
 def _load_valid(path: str):
@@ -104,7 +116,12 @@ def cmd_solve(args) -> int:
         return _fail(str(exc), 2)
     if not os.path.isdir(args.input):
         # fail before the solve, not after it has written a first output
-        if code := _missing_output_dir(args.output, args.report, args.dump_decomposition):
+        outputs = {
+            "--output": args.output,
+            "--report": args.report,
+            "--dump-decomposition": args.dump_decomposition,
+        }
+        if code := _shared_path(args.input, outputs) or _missing_output_dir(*outputs.values()):
             return code
         return _solve_one(args.input, args.output, cfg, args)
     # batch mode: one instance per file, solutions mirror the file names
@@ -165,7 +182,7 @@ def cmd_bench(args) -> int:
         max_n = os.environ.get("QKP_ORACLE_MAX_N", str(DEFAULT_MAX_N))
         with suppress(ValueError):
             max_n = int(max_n)
-        max_n = _checked_max_n(max_n, "QKP_ORACLE_MAX_N")
+        max_n = non_negative_int(max_n, "QKP_ORACLE_MAX_N")
     except ValueError as exc:
         return _fail(str(exc), 2)
     if code := _missing_output_dir(args.json_out):  # before the first trial

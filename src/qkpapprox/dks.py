@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import CapacityError
-from .rational import Rational, as_rational
+from .rational import Rational, as_rational, non_negative_int
 
 DEFAULT_EXACT_MAX_N = 25
 DEFAULT_BUDGET = 60_000
@@ -52,9 +52,7 @@ class UGraph:
     nbrs: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, edges):
-        if type(n) is not int or n < 0:
-            raise ValueError(f"n must be a non-negative int, got {n!r}")
-        rows = [set() for _ in range(n)]
+        rows = [set() for _ in range(non_negative_int(n, "n"))]
         for u, v in edges:
             if (type(u) is not int or type(v) is not int or u == v
                     or not (0 <= u < n and 0 <= v < n)):
@@ -101,17 +99,10 @@ class DksBackend:
         object.__setattr__(self, "declared_alpha", alpha)
 
 
-def _checked_k(k) -> int:
-    """k itself, or ValueError unless it is a non-negative int (bool excluded)."""
-    if type(k) is not int or k < 0:
-        raise ValueError(f"k must be a non-negative int, got {k!r}")
-    return k
-
-
 def solve_dks(graph: UGraph, k: int, backend: DksBackend) -> tuple[int, ...]:
     """Exactly min(k, n) distinct vertices chosen by the backend, sorted
     (else RuntimeError: also for an id that is not an int); deterministic."""
-    k_eff = min(_checked_k(k), graph.n)
+    k_eff = min(non_negative_int(k, "k"), graph.n)
     if k_eff == 0:
         return ()
     if k_eff == graph.n:
@@ -272,9 +263,12 @@ def dks_exact(
     once.  Every other graph runs _lex_first_densest, which raises once it
     has pushed more than budget frames.  It pushes at most
     C(n - 2, k - 2) - 1 < C(n, k), so a graph with at most budget
-    k-subsets always completes.
+    k-subsets always completes.  k, max_n and budget must be non-negative
+    ints (bool excluded), else ValueError.
     """
-    k_eff = min(_checked_k(k), graph.n)
+    k_eff = min(non_negative_int(k, "k"), graph.n)
+    non_negative_int(max_n, "max_n")
+    non_negative_int(budget, "budget")
     if k_eff == 0:
         return ()
     if k_eff == graph.n:
@@ -296,7 +290,7 @@ def dks_greedy_peel(graph: UGraph, k: int) -> tuple[int, ...]:
     depend on the order of the rows.
     """
     n = graph.n
-    k_eff = min(_checked_k(k), n)
+    k_eff = min(non_negative_int(k, "k"), n)
     if k_eff == n:
         return tuple(range(n))
     nbrs = graph.nbrs

@@ -2,17 +2,9 @@
 
 from .errors import CapacityError
 from .instance import QkpInstance, Solution, evaluate
-from .rational import to_units
+from .rational import non_negative_int, to_units
 
 DEFAULT_MAX_N = 22
-
-
-def _checked_max_n(guard, name: str = "max_n") -> int:
-    """guard itself, or ValueError unless it is a non-negative int (bool
-    excluded); name is the message's name for it."""
-    if type(guard) is not int or guard < 0:
-        raise ValueError(f"{name} must be a non-negative int, got {guard!r}")
-    return guard
 
 
 def _greedy_profit(cost, limit, vprofit, later) -> int:
@@ -91,7 +83,7 @@ def exact_qkp(inst: QkpInstance, max_n: int = DEFAULT_MAX_N) -> Solution:
     Raises CapacityError when n exceeds max_n (22 by default), the guard's
     one source, and ValueError unless max_n is a non-negative int.
     """
-    if inst.n > _checked_max_n(max_n):
+    if inst.n > non_negative_int(max_n, "max_n"):
         raise CapacityError(f"oracle limited to n <= {max_n}, got n = {inst.n}")
 
     n = inst.n

@@ -4,13 +4,14 @@ Prepare, decompose, solve every sub-instance, lift each candidate back to
 original ids, union the always-include vertices, and return the feasible
 candidate with the best profit measured on the original (unrounded)
 instance.  A universal fallback scan over single vertices and edge pairs
-guards every degenerate path.
+guards every degenerate path as one more candidate (class 0).
 prepare's one walk over the original edges yields the scan and the terms
 of the candidates' profit bounds; candidates are evaluated in bound order.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Union
 
@@ -155,21 +156,16 @@ def _solve_sub(sub, reduced, cfg):
 def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, RunReport]:
     """Best feasible solution among all class candidates and fallbacks.
 
-    Feasibility is decided in prepare's integer units, summed over a
-    candidate's reduced ids.  Feasible candidates are evaluated on the
-    original profits in descending order of B(S) = sum over v in S of
-    2 vprofit[v] + min(weighted degree of v, (|S| - 1) * largest edge
-    profit at v), which is at least twice S's profit (an induced edge
-    counts at both ends, and v has at most |S| - 1 neighbours in S), until
-    B(S) is below twice the best profit.  Ties go to the lexicographically
-    smallest vertex set, equal sets to the first in solve order.
-
-    The fallback scan ranks with the class candidates, last, under the
-    bound twice its exact profit.  The sort is stable, so a class
-    candidate of the same profit, whose bound is at least twice it, is
-    evaluated first; the scan then wins only with a higher profit or a
-    lexicographically smaller set, and loses a tie on an equal set.  Its
-    record is the last one.
+    The fallback scan's set is one more candidate, class 0, after the
+    sub-instances'.  Feasibility is decided in prepare's integer units,
+    summed over a candidate's reduced ids.  Feasible candidates are
+    evaluated on the original profits in descending order of B(S) = sum
+    over v in S of 2 vprofit[v] + min(weighted degree of v, (|S| - 1) *
+    the instance's largest edge profit), which is at least twice S's
+    profit (an induced edge counts at both ends, and v has at most
+    |S| - 1 neighbours in S), until B(S) is below twice the best profit.
+    Ties go to the lexicographically smallest vertex set, equal sets to
+    the first in solve order.
     """
     cfg = cfg or SolveConfig()
 
@@ -179,26 +175,27 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     # onto positive-cost ids, so a lift adds no units and its parts are disjoint
     always, orig_of = sorted(prep.always_include), prep.orig_of
     units, limit = prep.cost_units, prep.limit_units
-    vprofit, wdeg, maxp = inst.vprofit, prep.weighted_degree, prep.max_edge_profit
+    vprofit, wdeg = inst.vprofit, prep.weighted_degree
+    top = max(map(itemgetter(2), inst.edges), default=0)
+    outcomes = chain(
+        ((sub.class_tag, _solve_sub(sub, prep.reduced, cfg)) for sub in subs),
+        [(0, ClassOutcome(prep.fallback, "singleton_pair_scan"))],
+    )
 
     records = []
-    ranked = []  # (B(S), S, class tag): feasible candidates in solve order, then the scan
-    for sub in subs:
-        outcome = _solve_sub(sub, prep.reduced, cfg)
+    ranked = []  # (B(S), S, class tag): feasible candidates in solve order
+    for class_tag, outcome in outcomes:
         verts = tuple(sorted(always + [orig_of[r] for r in outcome.vertices]))
-        cap, cost, bound = len(verts) - 1, 0, 0
+        cap, cost, bound = (len(verts) - 1) * top, 0, 0
         for r in outcome.vertices:  # plain loops: sum(map()) and min() cost 2-5% on small solves
             cost += units[r]
         for v in verts:
-            w, c = wdeg[v], cap * maxp[v]
-            bound += 2 * vprofit[v] + (w if w < c else c)
+            w = wdeg[v]
+            bound += 2 * vprofit[v] + (w if w < cap else cap)
         feasible = cost <= limit
         if feasible:
-            ranked.append((bound, verts, sub.class_tag))
-        records.append(SubRecord(sub.class_tag, outcome.case, outcome.fallbacks, verts, feasible))
-    scan_profit, scan_verts = prep.fallback
-    ranked.append((2 * scan_profit, scan_verts, 0))
-    records.append(SubRecord(0, "singleton_pair_scan", (), scan_verts, True))
+            ranked.append((bound, verts, class_tag))
+        records.append(SubRecord(class_tag, outcome.case, outcome.fallbacks, verts, feasible))
 
     # stable, so equal vertex sets, which have equal bounds, keep solve order
     ranked.sort(key=itemgetter(0), reverse=True)

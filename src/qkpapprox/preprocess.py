@@ -30,11 +30,11 @@ class PreparedInstance:
     original costs and the limit.  cost_units[r] is reduced.cost[r] * den
     and limit_units is the limit * den, both ints.
 
-    By original id, weighted_degree[v] sums v's edge profits and
-    max_edge_profit[v] is the largest (0 if none).  fallback is the
-    (profit, original vertices) that wins, under _beats, among the
-    always-include set alone, with one affordable vertex, and with the
-    ends of one edge whose costs fit together, of any profit.
+    By original id, weighted_degree[v] sums v's edge profits.  fallback
+    is the sorted reduced ids of the set that wins, under _beats on the
+    lifted sets, among the always-include set alone, with one affordable
+    vertex, and with the ends of one edge whose costs fit together, of
+    any profit.
     """
 
     reduced: QkpInstance
@@ -45,8 +45,7 @@ class PreparedInstance:
     cost_units: tuple[int, ...]
     limit_units: int
     weighted_degree: tuple[Rational, ...]
-    max_edge_profit: tuple[Rational, ...]
-    fallback: tuple[Rational, tuple[int, ...]]
+    fallback: tuple[int, ...]
 
 
 def _beats(profit, verts: tuple[int, ...], best) -> bool:
@@ -74,7 +73,7 @@ def _walk(inst: QkpInstance, units):
 
     units are inst's costs and then its limit, as to_units scales them.
     Returns cost, vprofit and pairs over the reduced ids, then base_profit,
-    always_include, orig_of, weighted degrees and largest edge profits.
+    always_include, orig_of and the weighted degrees.
     pairs are the (ru, rv, p) edges whose ends' costs fit together, of any
     profit; costs are nonnegative, so both ends are affordable.
     """
@@ -86,14 +85,10 @@ def _walk(inst: QkpInstance, units):
         new_id[v] = r
     base_profit: Rational = sum((inst.vprofit[z] for z in zero), 0)
     extra = [0] * len(orig_of)
-    wdeg, maxp, pairs = [0] * n, [0] * n, []
+    wdeg, pairs = [0] * n, []
     for u, v, p in inst.edges:
         wdeg[u] += p
         wdeg[v] += p
-        if p > maxp[u]:
-            maxp[u] = p
-        if p > maxp[v]:
-            maxp[v] = p
         if units[u] + units[v] > limit:
             continue
         ru, rv = new_id[u], new_id[v]
@@ -110,29 +105,31 @@ def _walk(inst: QkpInstance, units):
     # a folded sum of Fractions can be integral: normalise it to an int
     vprofit = tuple(as_rational(vp[v] + x) if x else vp[v] for v, x in zip(orig_of, extra))
     cost = tuple(inst.cost[v] for v in orig_of)
-    return cost, vprofit, pairs, base_profit, frozenset(zero), orig_of, tuple(wdeg), tuple(maxp)
+    return cost, vprofit, pairs, base_profit, frozenset(zero), orig_of, tuple(wdeg)
 
 
 def _fallback(vprofit, pairs, base_profit, always, orig_of):
     """PreparedInstance.fallback.  Reduced ids keep the original order, so
     among equal profits the first vertex, and the smallest pair (ru, rv),
-    also lift to the smallest tuples."""
+    also lift to the smallest tuples.  The three options are compared on
+    their lifted sets, which can order differently from their reduced
+    ids: with always-include {3}, (0, 2, 3) < (0, 3) but (0, 2) > (0,)."""
     def lift(*reduced_ids):
         return tuple(sorted(always.union(orig_of[r] for r in reduced_ids)))
 
-    best = (base_profit, lift())
+    best = (base_profit, lift(), ())
     if vprofit:
         r = max(range(len(vprofit)), key=vprofit.__getitem__)
         if _beats(base_profit + vprofit[r], lift(r), best):
-            best = (base_profit + vprofit[r], lift(r))
+            best = (base_profit + vprofit[r], lift(r), (r,))
     top, pu, pv = -1, 0, 0  # pair profits are nonnegative: the first pair replaces it
     for ru, rv, p in pairs:
         s = vprofit[ru] + vprofit[rv] + p
         if s > top or (s == top and (ru < pu or (ru == pu and rv < pv))):
             top, pu, pv = s, ru, rv
     if top >= 0 and _beats(base_profit + top, lift(pu, pv), best):
-        best = (base_profit + top, lift(pu, pv))
-    return best
+        best = (base_profit + top, lift(pu, pv), (pu, pv))
+    return best[2]
 
 
 def _rounded_edges(n: int, edges) -> tuple:
@@ -165,7 +162,7 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
     without converting them again.
     """
     units, den = to_units(inst.cost + (inst.limit,))
-    cost, vprofit, pairs, base_profit, always, orig_of, wdeg, maxp = _walk(inst, units)
+    cost, vprofit, pairs, base_profit, always, orig_of, wdeg = _walk(inst, units)
     edges = _rounded_edges(len(cost), pairs)
     reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
     return PreparedInstance(
@@ -177,6 +174,5 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
         cost_units=tuple(units[v] for v in orig_of),
         limit_units=units[-1],
         weighted_degree=wdeg,
-        max_edge_profit=maxp,
         fallback=_fallback(vprofit, pairs, base_profit, always, orig_of),
     )

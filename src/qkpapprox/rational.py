@@ -38,6 +38,14 @@ def as_rational(value) -> Rational:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def non_negative_int(value, name: str) -> int:
+    """value itself, or ValueError unless it is a non-negative int (bool
+    excluded); name is the message's name for it."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+    return value
+
+
 def pow2(exponent: int) -> Rational:
     """2**exponent as an exact rational (Fraction for negative exponents)."""
     if exponent >= 0:

@@ -856,8 +856,9 @@ def unrounded_reduced(inst: QkpInstance, prep: PreparedInstance) -> QkpInstance:
 
 def reference_prepare(inst: QkpInstance) -> PreparedInstance:
     """prepare from the multi-walk pruning, rounding and fallback scan,
-    with each vertex's weighted degree and top edge profit summed from the
-    raw edge list."""
+    with each vertex's weighted degree summed from the raw edge list.  The
+    scan's lifted set, less the always-include ids, is mapped back to
+    reduced ids."""
     units, den = to_units(inst.cost + (inst.limit,))
     parts, base_profit, always, orig_of = _reference_prune_parts(inst, units)
     cost, vprofit, edges = parts
@@ -865,6 +866,7 @@ def reference_prepare(inst: QkpInstance) -> PreparedInstance:
         edges = _reference_rounded_edges(len(cost), edges)
     reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
     incident = [[p for a, b, p in inst.edges if v in (a, b)] for v in range(inst.n)]
+    _, scan = reference_fallback_scan(inst, always, base_profit, units, units[-1])
     return PreparedInstance(
         reduced=reduced,
         base_profit=base_profit,
@@ -874,8 +876,7 @@ def reference_prepare(inst: QkpInstance) -> PreparedInstance:
         cost_units=tuple(units[v] for v in orig_of),
         limit_units=units[-1],
         weighted_degree=tuple(sum(ps, 0) for ps in incident),
-        max_edge_profit=tuple(max(ps, default=0) for ps in incident),
-        fallback=reference_fallback_scan(inst, always, base_profit, units, units[-1]),
+        fallback=tuple(orig_of.index(v) for v in scan if v not in always),
     )
 
 
@@ -976,7 +977,7 @@ def ungated_best(inst: QkpInstance, cfg):
     prep = prepare(inst)
     units, _ = to_units(inst.cost + (inst.limit,))
     limit = units[-1]
-    best = prep.fallback[0]
+    best = reference_fallback_scan(inst, prep.always_include, prep.base_profit, units, limit)[0]
     for sub in decompose(prep):
         if sub.class_tag == 1:
             outcome = orchestrator._solve_sub(sub, prep.reduced, cfg)

@@ -325,6 +325,34 @@ def test_solve_fails_fast_on_an_unwritable_output(tmp_path, capsys, monkeypatch)
     assert solves == []
 
 
+@pytest.mark.parametrize("flags", [
+    ["--output", "{input}"],
+    ["--report", "{input}"],
+    ["--dump-decomposition", "{input}"],
+    ["--output", "{link}"],
+    ["--output", "{out}", "--report", "{out}"],
+    ["--report", "{out}", "--dump-decomposition", "{link_out}"],
+])
+def test_solve_refuses_two_flags_on_one_file(tmp_path, capsys, monkeypatch, flags):
+    inst_path = tmp_path / "one.json"
+    write_triangle(inst_path)
+    before = inst_path.read_bytes()
+    (tmp_path / "link.json").symlink_to(inst_path)
+    (tmp_path / "link_out.json").symlink_to(tmp_path / "out.json")
+    solves = []
+    monkeypatch.setattr(cli, "solve", lambda *a: solves.append(a) or solve(*a))
+    paths = {k: str(tmp_path / f"{k}.json") for k in ("link", "out", "link_out")}
+    paths["input"] = str(inst_path)
+    argv = ["solve", "--input", str(inst_path)] + [f.format(**paths) for f in flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --")
+    assert inst_path.read_bytes() == before
+    assert not (tmp_path / "out.json").exists()
+    assert solves == []
+    # the instance is still whole: a second solve reads it
+    assert main(["solve", "--input", str(inst_path)]) == 0
+
+
 def test_bench_zero_trials(tmp_path, capsys):
     assert main(["bench", "--trials", "0", "--n-range", "4:6"]) == 0
     out = capsys.readouterr().out

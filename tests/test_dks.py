@@ -146,6 +146,24 @@ def test_entry_points_reject_a_k_that_is_not_a_nonnegative_int(k):
 
 
 @pytest.mark.parametrize(
+    "name, value",
+    [
+        ("max_n", -1),
+        ("max_n", "25"),
+        ("max_n", None),
+        ("budget", -1),
+        ("budget", 1.5),
+        ("budget", True),
+        ("budget", None),
+    ],
+)
+def test_exact_rejects_a_guard_that_is_not_a_nonnegative_int(name, value):
+    hexagon = UGraph(6, tuple((v, (v + 1) % 6) for v in range(6)))
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative int, got {value!r}$"):
+        dks_exact(hexagon, 3, **{name: value})
+
+
+@pytest.mark.parametrize(
     "n, edges",
     [
         (-1, ()),

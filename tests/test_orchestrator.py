@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -148,6 +148,9 @@ def test_report_invariants():
     feas = [evaluate(inst, r.vertices)[1] for r in report.records if r.feasible]
     assert max(feas) == sol.total_profit
     assert report.records[-1].case == "singleton_pair_scan"
+    prep = prepare(inst)
+    lifted = prep.always_include.union(prep.orig_of[r] for r in prep.fallback)
+    assert report.records[-1].vertices == tuple(sorted(lifted))
     obj = report.to_json_obj()
     # the CLI times the solve; the library's report holds no wall time
     assert "wall_ms" not in obj
@@ -252,10 +255,25 @@ def _raw_evaluate(inst, vertices):
     return cost, profit
 
 
+# the scan's options tie at profit 5 across the always-include vertex 3:
+# its pair lifts to (0, 2, 3), which beats (0, 3), though reduced (0, 2) > (0,)
+_SCAN_TIE = QkpInstance(4, (1, 1, 1, 0), (5, 0, 0, 0), ((0, 2, 0),), 2)
+# a hub: class 3's pick and the scan are both the set (0, 1); class 3 keeps the tie
+_HUB = QkpInstance(
+    8, (1,) * 8, (0,) * 8,
+    ((0, 1, 1000),) + tuple((u, v, 1) for u in range(1, 8) for v in range(u + 1, 8)),
+    5,
+)
+
+
 @given(
     st.one_of(rational_instances(), _tied_instances()),
     st.sampled_from(["greedy", "exact"]),
 )
+@example(_SCAN_TIE, "greedy")
+@example(_SCAN_TIE, "exact")
+@example(_HUB, "greedy")
+@example(_HUB, "exact")
 @settings(max_examples=200, deadline=None)
 def test_bound_gated_selection_matches_full_evaluation(inst, backend):
     sol, report = solve(inst, SolveConfig(dks_backend=backend))
