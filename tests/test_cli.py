@@ -334,15 +334,14 @@ def test_solve_fails_fast_on_an_unwritable_output(tmp_path, capsys, monkeypatch)
     ["--report", "{out}", "--dump-decomposition", "{link_out}"],
 ])
 def test_solve_refuses_two_flags_on_one_file(tmp_path, capsys, monkeypatch, flags):
-    inst_path = tmp_path / "one.json"
+    paths = {k: str(tmp_path / f"{k}.json") for k in ("input", "link", "out", "link_out")}
+    inst_path = tmp_path / "input.json"
     write_triangle(inst_path)
     before = inst_path.read_bytes()
     (tmp_path / "link.json").symlink_to(inst_path)
     (tmp_path / "link_out.json").symlink_to(tmp_path / "out.json")
     solves = []
     monkeypatch.setattr(cli, "solve", lambda *a: solves.append(a) or solve(*a))
-    paths = {k: str(tmp_path / f"{k}.json") for k in ("link", "out", "link_out")}
-    paths["input"] = str(inst_path)
     argv = ["solve", "--input", str(inst_path)] + [f.format(**paths) for f in flags]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: --")
