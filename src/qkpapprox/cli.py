@@ -183,6 +183,7 @@ def cmd_bench(args) -> int:
         with suppress(ValueError):
             max_n = int(max_n)
         max_n = non_negative_int(max_n, "QKP_ORACLE_MAX_N")
+        _draw(args, 0, args.seed)  # the generator flags, also when no trial runs
     except ValueError as exc:
         return _fail(str(exc), 2)
     if code := _missing_output_dir(args.json_out):  # before the first trial
@@ -200,8 +201,6 @@ def cmd_bench(args) -> int:
         except CapacityError:
             notices.append(f"trial {trial}: oracle capacity exceeded at n={n}, skipped")
             continue
-        except ValueError as exc:  # a generator flag out of range
-            return _fail(str(exc), 2)
         sol, report = solve(inst, cfg)
         floor = guaranteed_floor(n)
         if opt.total_profit > 0:

@@ -20,18 +20,21 @@ The sweep then runs on flat int lists.
 
 Before the sweep, items are fixed by an upper bound (Ingargiola & Korsh
 1973; Martello & Toth 1990, section 2.7).  When every item fits, all of
-them are the answer and nothing else runs.  Otherwise lb is a feasible
-profit, a greedy fill in profit/cost order.  An item is fixed out when
-the floored Dantzig (fractional knapsack) bound of the sets holding it
-is below lb, and fixed in when that of the sets without it is.  The
-sweep then runs on the free items alone, in the capacity the fixed-in
-items leave, and they are added back.  The sweep prunes by the same
-bound (Martello, Pisinger & Toth 1999): it drops every state whose
-profit plus the bound of the items still to come, in the capacity it has
-left, is below lb.  That table is built only on frontiers longer than the
-free item list, so small calls skip it.  Both cuts are strict, so the
-chosen subset is the one the plain sweep over all items picks; _sweep
-gives the argument.
+them are the answer and nothing else runs.  Otherwise lb is a lower
+bound on the optimum, lb <= OPT: it starts as a greedy fill in
+profit/cost order and is raised to the profit of each feasible set the
+bound's bisects find on the way, a partial solution completed by a
+prefix of the ratio order (greedy completions, as in Pisinger 1997 and
+Martello, Pisinger & Toth 1999).  An item is fixed out when the floored
+Dantzig (fractional knapsack) bound of the sets holding it is below lb,
+and fixed in when that of the sets without it is.  The sweep then runs
+on the free items alone, in the capacity the fixed-in items leave, and
+they are added back.  The sweep prunes by the same bound: it drops every
+state whose profit plus the bound of the items still to come, in the
+capacity it has left, is below lb.  That table is built only on
+frontiers longer than the free item list, so small calls skip it.  Both
+cuts are strict, so the chosen subset is the one the plain sweep over
+all items picks; _sweep gives the argument.
 """
 
 from array import array
@@ -84,18 +87,29 @@ def _ratio_order(costs, profits, capacity):
 
 
 def _fix(order, costs, profits, capacity, lb):
-    """(fixed_in, free): item positions in ascending order.
+    """(fixed_in, free, lb): item positions in ascending order, and lb raised.
 
-    Every set of profit >= lb holds each fixed-in item and none of the
-    items in neither list (fixed out).  U(r) is the floored Dantzig bound
+    lb must be at most the optimum, and the returned lb is too.  Every
+    set of profit >= the returned lb holds each fixed-in item and none of
+    the items in neither list (fixed out).  U(r) is the floored Dantzig bound
     of all items in capacity r, U_t(r) the same bound without item t.
     When the items ahead of t in the order cost at most r, the LP in
     capacity r + c_t takes them and t whole and then goes on as the LP
     without t, so U_t(r) = U(r + c_t) - p_t; otherwise t lies past r's
     break item and U_t(r) = U(r).  t is fixed out when p_t + U_t(C - c_t)
-    < lb and fixed in when U_t(C) < lb: one bisect each.  Both tests are
-    strict, so the greedy set, of profit lb, holds every fixed-in item and
-    no fixed-out one, and no item is both.
+    < lb and fixed in when U_t(C) < lb: one bisect each.
+
+    Each bisect, at index k, also gives a feasible profit, and lb is
+    raised to it before the test.  Fixed-out test: p_t + pp[k], t and the
+    first k items of the order, which cost at most C - c_t < ahead[t] and
+    so do not hold t.  Fixed-in test: pp[k] - p_t.  When t is among the
+    first k items, which cost at most C + c_t, they fit without t; when
+    it is not, they cost at most ahead[t] <= C and fit whole, for more.
+    So lb stays at most the optimum.  lb only rises, so an item tested
+    under a smaller lb was only left free more often: a set of profit >=
+    the final lb is also >= every lb a test used.  Both tests are strict,
+    so every optimal set holds every fixed-in item and no fixed-out one,
+    and no item is both.
     """
     pc, pp, bc, bp = _bound_table(order, costs, profits, 0)
     ahead = [0] * len(costs)
@@ -109,16 +123,18 @@ def _fix(order, costs, profits, capacity, lb):
         if ahead[t] + cost > capacity:
             r = capacity - cost
             k = bisect_right(pc, r) - 1
+            lb = max(lb, profit + pp[k])
             if profit + pp[k] + (r - pc[k]) * bp[k] // bc[k] < lb:
                 continue
         if ahead[t] <= capacity:
             r = capacity + cost
             k = bisect_right(pc, r) - 1
+            lb = max(lb, pp[k] - profit)
             if pp[k] + (r - pc[k]) * bp[k] // bc[k] - profit < lb:
                 fixed_in.append(t)
                 continue
         free.append(t)
-    return fixed_in, free
+    return fixed_in, free, lb
 
 
 def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
@@ -140,24 +156,27 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     of value (c*, p*).
 
     Fixing (_fix).  When every item fits the answer is all of them.
-    Otherwise lb is a feasible profit, a greedy fill in exact profit/cost
-    order, and _fix splits off the items F that every set of profit >= lb
-    holds and the items that none holds.  Every subset of value (c*, p*)
-    has profit p* >= lb, so it is F plus a set T of free items; the free
-    items in capacity C - cost(F) have greatest profit p* - profit(F),
-    least cost for it c* - cost(F), and exactly these T as their subsets
-    of that value.  Adding F to each T leaves the colex order unchanged,
-    so the sweep over the free items alone, in index order and with F put
-    back, returns the same subset.  The greedy set holds F and no
-    fixed-out item, so lb - profit(F) is a feasible profit of the free
-    items, and the pruning below starts from it.
+    Otherwise lb starts as a greedy fill in exact profit/cost order, and
+    _fix raises it, keeping lb <= p*, and splits off the items F that
+    every set of profit >= lb holds and the items that none holds.  Every
+    subset of value (c*, p*) has profit p* >= lb, so it is F plus a set T
+    of free items; the free items in capacity C - cost(F) have greatest
+    profit p* - profit(F), least cost for it c* - cost(F), and exactly
+    these T as their subsets of that value.  Adding F to each T leaves the
+    colex order unchanged, so the sweep over the free items alone, in
+    index order and with F put back, returns the same subset.  And
+    lb - profit(F) is at most p* - profit(F), the free items' optimum, so
+    the pruning below starts from it.
 
     Pruning by the bound.  Before free item j is merged, a state s = (c, p) is
     dropped when B_j(s) = p + U_j(capacity - c) < lb, where U_j(r) is the
-    floor of the Dantzig bound of items j.. in capacity r and lb, raised
-    before each item to the frontier's largest profit, is feasible.  A
-    step builds its bound table (O(m) for m free items) only when the
-    frontier is longer than m, from the ratio order built for fixing.
+    floor of the Dantzig bound of items j.. in capacity r, and lb <= the
+    free items' optimum.  lb is raised to the frontier's largest profit
+    and, as the pass goes, to each tested state's completion: s plus the
+    first k of items j.. in ratio order, k the bisect's index, which fit
+    in capacity - c and are not in s.  A step builds its bound table (O(m)
+    for m free items) only when the frontier is longer than m, from the
+    ratio order built for fixing.
 
     The pruned sweep recovers the same subset as the unpruned one.
     - B_j is monotone: a state with cost <= c and profit >= p has
@@ -171,7 +190,8 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
     By induction over the items, and as lb never falls, a state with
     B >= lb is on the pruned frontier exactly when it is on the unpruned
     one: its parent had B >= lb, and so had the parent of every candidate
-    that could displace it.  The unpruned sweep's final best state has B
+    that could displace it.  A state tested before lb rose within a pass
+    is only kept more often.  The unpruned sweep's final best state has B
     equal to its profit, the optimum, which is at least lb; so it and
     every ancestor are kept, and it is still the best final state.
     """
@@ -184,7 +204,7 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
         if costs[t] <= room:
             room -= costs[t]
             lb += profits[t]
-    fixed_in, free = _fix(order, costs, profits, capacity, lb)
+    fixed_in, free, lb = _fix(order, costs, profits, capacity, lb)
     chosen = [indices[t] for t in fixed_in]
     capacity -= sum(costs[t] for t in fixed_in)
     lb -= sum(profits[t] for t in fixed_in)
@@ -211,7 +231,10 @@ def _sweep(indices, costs, profits, capacity) -> tuple[int, ...]:
             for i in range(low):
                 r = capacity - f_cost[i]
                 k = bisect_right(pc, r) - 1
-                if f_profit[i] + pp[k] + (r - pc[k]) * bp[k] // bc[k] >= lb:
+                p = f_profit[i] + pp[k]
+                if p > lb:
+                    lb = p
+                if p + (r - pc[k]) * bp[k] // bc[k] >= lb:
                     f_cost[w] = f_cost[i]
                     f_profit[w] = f_profit[i]
                     f_id[w] = f_id[i]

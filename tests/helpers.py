@@ -722,6 +722,45 @@ def reference_knapsack_exact(items, capacity) -> tuple[int, ...]:
     return _reference_recover(_reference_sweep(usable, capacity)[-1])
 
 
+def reference_greedy_fixed_count(costs, profits, capacity) -> int:
+    """How many items Dantzig-bound fixing fixes with lb the greedy fill.
+
+    Items are ints with every cost at most the capacity, as knapsack._fix
+    gets them.  lb is the profit of the greedy fill in profit/cost order
+    (zero costs first), raised by nothing else.  Item t is fixed out when
+    p_t plus the floored Dantzig bound of the other items in C - c_t is
+    below lb, and fixed in when that bound of the other items in C is;
+    each bound is computed afresh by a walk over the order without t.
+    """
+    order = sorted(
+        range(len(costs)),
+        key=lambda t: (costs[t] == 0, Fraction(profits[t], costs[t] or 1)),
+        reverse=True,
+    )
+
+    def dantzig(room, skip):
+        total = 0
+        for t in order:
+            if t == skip:
+                continue
+            if costs[t] > room:
+                return total + profits[t] * room // costs[t]
+            room -= costs[t]
+            total += profits[t]
+        return total
+
+    room = capacity
+    lb = 0
+    for t in order:
+        if costs[t] <= room:
+            room -= costs[t]
+            lb += profits[t]
+    return sum(
+        profits[t] + dantzig(capacity - costs[t], t) < lb or dantzig(capacity, t) < lb
+        for t in range(len(costs))
+    )
+
+
 def rationals(top):
     """Ints, halves, and thirds or sevenths, in [0, top]."""
     return st.one_of(

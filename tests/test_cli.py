@@ -204,6 +204,19 @@ def test_generator_flag_errors_match_in_generate_and_bench(flags, capsys):
     assert generate_err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flags", [["--density", "2"], ["--max-cost", "0"], ["--limit-frac", "-1"]]
+)
+def test_bench_checks_generator_flags_with_zero_trials(flags, capsys):
+    # no trial draws an instance, and the flags are still checked
+    assert main(["generate", "--n", "5", "--density", "0.5"] + flags) == 2
+    generate_err = capsys.readouterr().err
+    assert main(["bench", "--trials", "0", "--n-range", "5"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == generate_err
+
+
 def test_round_trip_generate_solve_verify(tmp_path):
     inst_path = tmp_path / "inst.json"
     sol_path = tmp_path / "sol.json"

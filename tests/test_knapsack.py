@@ -1,15 +1,20 @@
 """Knapsack FPTAS, and its sweep run exactly."""
 
 import random
+import sys
 from fractions import Fraction
-from itertools import combinations
 from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_sweep, reference_knapsack_exact, reference_knapsack_fptas
+from helpers import (
+    exact_sweep,
+    reference_greedy_fixed_count,
+    reference_knapsack_exact,
+    reference_knapsack_fptas,
+)
 from qkpapprox import knapsack, prepare, random_instance
 from qkpapprox.knapsack import knapsack_fptas
 
@@ -21,13 +26,11 @@ def total(items, chosen):
 
 
 def brute_opt(items, capacity):
-    best = 0
-    for r in range(len(items) + 1):
-        for combo in combinations(range(len(items)), r):
-            cost, profit = total(items, combo)
-            if cost <= capacity and profit > best:
-                best = profit
-    return best
+    """The best profit over every subset of the items that fits."""
+    sums = [(0, 0)]
+    for c, p in items:
+        sums += [(s + c, q + p) for s, q in sums if s + c <= capacity]
+    return max(q for _, q in sums)
 
 
 def test_fptas_symmetric_tie():
@@ -203,17 +206,46 @@ def _pruned(spy):
 
 
 class _FixSpy:
-    """Wraps knapsack._fix and counts the items each call fixed in and out."""
+    """Wraps knapsack._fix: counts the items each call fixed in and out, and
+    keeps each call's (costs, profits, capacity, lb, returned lb, fixed_in,
+    free)."""
 
     def __init__(self):
         self.fix = knapsack._fix
         self.fixed_in = self.fixed_out = 0
+        self.calls = []
 
     def __call__(self, order, costs, profits, capacity, lb):
-        fixed_in, free = self.fix(order, costs, profits, capacity, lb)
+        fixed_in, free, raised = self.fix(order, costs, profits, capacity, lb)
         self.fixed_in += len(fixed_in)
         self.fixed_out += len(costs) - len(fixed_in) - len(free)
-        return fixed_in, free
+        self.calls.append((costs, profits, capacity, lb, raised, fixed_in, free))
+        return fixed_in, free, raised
+
+
+class _SweepSpy:
+    """Keeps, for each knapsack._sweep call that fixes, the (costs, profits,
+    capacity, lb) it holds as it returns: the free items, the capacity the
+    fixed-in ones leave, and the last lb.  lb never falls after fixing, so
+    the last one bounds every lb the pruning used."""
+
+    def __init__(self):
+        self.finals = []
+
+    def __call__(self, frame, event, arg):
+        if event == "return" and frame.f_code is knapsack._sweep.__code__:
+            names = frame.f_locals
+            if "lb" in names:  # not when every item fits
+                self.finals.append(
+                    (names["costs"], names["profits"], names["capacity"], names["lb"])
+                )
+
+    def __enter__(self):
+        sys.setprofile(self)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
 
 
 # tied ratios (multiples of a few base items), zero costs, and capacities
@@ -330,6 +362,59 @@ def test_pruned_sweep_keeps_states_at_the_bound():
     assert _pruned(spy)
 
 
+# 8-14 items, few enough to list every subset, and a capacity well below
+# the total, so that the sweep prunes: tied ratios, zero costs, ints and
+# Fractions
+@st.composite
+def _small_knapsacks(draw):
+    items = draw(
+        st.one_of(
+            st.lists(_ratio_items, min_size=8, max_size=14),
+            st.lists(st.tuples(_costs, _profits), min_size=8, max_size=14),
+            st.lists(_tight_items, min_size=8, max_size=14),
+        )
+    )
+    total_cost = sum(c for c, _ in items)
+    capacity = draw(
+        st.sampled_from(
+            [
+                total_cost // 2,
+                Fraction(total_cost, 2),
+                Fraction(total_cost, 3),
+                total_cost // 4,
+            ]
+        )
+    )
+    return items, capacity
+
+
+def test_raised_lb_never_passes_the_optimum():
+    # every lb that fixing and pruning use is at most the optimum of the
+    # scaled int items they run on, found by listing every subset
+    raised = [0, 0]  # calls in which _fix and the sweep raised lb
+
+    @settings(max_examples=300)
+    @given(knap=_small_knapsacks(), eps=_eps)
+    def check(knap, eps):
+        items, capacity = knap
+        fix = _FixSpy()
+        with mock.patch.object(knapsack, "_fix", fix), _SweepSpy() as sweep:
+            knapsack_fptas(items, capacity, eps)
+            exact_sweep(items, capacity)
+        assert len(fix.calls) == len(sweep.finals)
+        for call, final in zip(fix.calls, sweep.finals):
+            costs, profits, capacity, lb, top, fixed_in, _ = call
+            assert lb <= top <= brute_opt(zip(costs, profits), capacity)
+            start = top - sum(profits[t] for t in fixed_in)  # the sweep's first lb
+            costs, profits, capacity, last = final
+            assert last <= brute_opt(zip(costs, profits), capacity)
+            raised[0] += top > lb
+            raised[1] += last > start
+
+    check()
+    assert all(raised)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_pruned_class1_knapsack_matches_reference(seed):
     # the class-1 call of solve: the reduced instance's vertex profits
@@ -347,3 +432,23 @@ def test_pruned_class1_knapsack_matches_reference(seed):
     assert fix.fixed_in and fix.fixed_out
     assert chosen == reference_knapsack_fptas(items, limit, eps)
     assert exact == reference_knapsack_exact(items, limit)
+
+
+def test_raised_lb_fixes_more_than_the_greedy_fill():
+    # class-1 knapsacks as above: fixing with the raised lb fixes at least
+    # the items that fixing with the greedy fill alone does, on every call,
+    # and more in total (seeds 1 and 2 alone gain nothing: the completions
+    # in _fix do not pass their greedy fill)
+    fix = _FixSpy()
+    with mock.patch.object(knapsack, "_fix", fix):
+        for seed in range(1, 7):
+            inst = random_instance(100, 0.1, 1000, 1000, "1/2", seed=seed)
+            reduced = prepare(inst).reduced
+            items = list(zip(reduced.cost, reduced.vprofit))
+            knapsack_fptas(items, reduced.limit, Fraction(1, 4))
+            exact_sweep(items, reduced.limit)
+    fixed = [len(costs) - len(free) for costs, *_, free in fix.calls]
+    greedy = [reference_greedy_fixed_count(*call[:3]) for call in fix.calls]
+    assert len(fixed) == 12
+    assert all(f >= g for f, g in zip(fixed, greedy))
+    assert sum(fixed) > sum(greedy)
