@@ -13,6 +13,7 @@ from the integer limit_ratio (see decompose).  Degree ties always break
 toward the smaller vertex id so outputs are deterministic.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -24,8 +25,8 @@ from .knapsack import DEFAULT_KNAPSACK_EPS, knapsack_fptas
 from .rational import Rational
 
 # work bounds, read at call time: a class-5 replicated graph above
-# REPLICATION_CAP vertices takes case 1, and class 4/5's small-heavy-side
-# enumeration stops after ENUM_COMBO_CAP subsets
+# REPLICATION_CAP vertices takes case 1, and the small-subset enumeration
+# of classes 3-5 stops after ENUM_COMBO_CAP subsets
 REPLICATION_CAP = 200_000
 ENUM_COMBO_CAP = 50_000
 
@@ -38,23 +39,17 @@ class ClassOutcome(NamedTuple):
 
 @dataclass(frozen=True)
 class ReplicatedGraph:
-    """The heavy side of a class-5 sub-instance split into d unit-scale copies.
+    """The heavy side of a class-5 sub-instance split into d = sub.d_gap
+    unit-scale copies.
 
-    Local ids: 0..len(a_members)-1 are the light side; copy j of heavy
-    vertex index i is len(a_members) + i*d + j.  Copies inherit the base
+    Local ids: 0..len(part_a)-1 are the light side; copy j of heavy
+    vertex part_b[i] is len(part_a) + i*d + j.  Copies inherit the base
     vertex's neighborhood and a 1/d share of its cost, so replicated costs
     land in (1, 2].  The d copies of a heavy vertex share one row, the
     tuple of its light neighbours' ids.
     """
 
-    d: int
-    a_members: tuple[int, ...]
-    b_members: tuple[int, ...]
     graph: UGraph
-
-    def copy_base(self, local: int) -> int:
-        """Reduced id of the base vertex behind a copy's local id."""
-        return self.b_members[(local - len(self.a_members)) // self.d]
 
 
 def replicate(sub: SubInstance) -> ReplicatedGraph:
@@ -84,12 +79,7 @@ def replicate(sub: SubInstance) -> ReplicatedGraph:
     rows = [tuple(row) for row in light]
     for row in heavy:
         rows += (tuple(row),) * d
-    return ReplicatedGraph(
-        d=d,
-        a_members=part_a,
-        b_members=part_b,
-        graph=UGraph.from_rows(tuple(rows)),
-    )
+    return ReplicatedGraph(UGraph.from_rows(tuple(rows)))
 
 
 def _adj_sets(sub: SubInstance) -> dict[int, set]:
@@ -98,6 +88,11 @@ def _adj_sets(sub: SubInstance) -> dict[int, set]:
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def _induced_edges(adj, chosen: set) -> int:
+    """How many edges of adj have both ends in chosen."""
+    return sum(len(adj[v] & chosen) for v in chosen) // 2
 
 
 def _top(candidates, m: int, key) -> list:
@@ -148,6 +143,7 @@ def solve_class2(sub: SubInstance) -> ClassOutcome:
     and every edge lies within some pair.
     """
     units, limit = sub.cost_units, sub.limit_units
+    adj = _adj_sets(sub)
     parts, load = [[]], 0
     for v in sub.vertices:
         if parts[-1] and load + units[v] > limit // 2:
@@ -159,8 +155,7 @@ def solve_class2(sub: SubInstance) -> ClassOutcome:
     best_edges = -1
     for first, second in combinations(parts, 2):
         union = first + second
-        chosen = set(union)
-        edges = sum(1 for u, v in sub.edges if u in chosen and v in chosen)
+        edges = _induced_edges(adj, set(union))
         if edges > best_edges:
             best_edges, best = edges, tuple(union)
     return ClassOutcome(best, "tail_split")
@@ -171,13 +166,13 @@ def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
     sub-instance that overflows its limit.
 
     Any k such vertices are feasible because scaled costs are at most 2.
-    Degenerate limits or tiny sub-instances fall back to trying every
-    subset of two or three vertices.
+    Degenerate limits or tiny sub-instances fall back to trying the
+    small subsets (_best_small_subset).
     """
     t = _limit_over(sub, 2)
     if t < 2 or len(sub.vertices) < 4:
-        return ClassOutcome(_best_small_subset(sub), "enum_small")
-    members = tuple(sub.vertices)
+        return _best_small_subset(sub)
+    members = sub.vertices
     local = {v: i for i, v in enumerate(members)}
     # members are sorted and sub.edges canonical, so every row is ascending
     rows = [[] for _ in members]
@@ -187,35 +182,28 @@ def solve_class3(sub: SubInstance, backend: DksBackend) -> ClassOutcome:
         rows[j].append(i)
     graph = UGraph.from_rows(tuple(map(tuple, rows)))
     chosen, fallbacks = _dks_with_fallback(graph, t, backend)
-    return ClassOutcome(
-        tuple(sorted(members[i] for i in chosen)), "dks", fallbacks
-    )
+    # solve_dks returns sorted local ids, and members are sorted
+    return ClassOutcome(tuple(members[i] for i in chosen), "dks", fallbacks)
 
 
-def _best_small_subset(sub: SubInstance) -> tuple[int, ...]:
+def _best_small_subset(sub: SubInstance) -> ClassOutcome:
     """Best feasible subset of two or three vertices by induced edge count,
-    the first on ties, or () when none induces an edge.  One vertex
-    induces no edge, so it never beats ()."""
+    pairs before triples and the first on ties, or () when none induces
+    an edge.  _feasible_b_subsets lists each size in combinations order
+    and stops after ENUM_COMBO_CAP subsets, with the note enum_small_capped."""
     adj = _adj_sets(sub)
-    units, limit = sub.cost_units, sub.limit_units
-    best: tuple[int, ...] = ()
-    best_edges = 0
-    for size in (2, 3):
-        for combo in combinations(sub.vertices, size):
-            if sum(units[v] for v in combo) > limit:
-                continue
-            chosen = set(combo)
-            edges = sum(len(adj[v] & chosen) for v in combo) // 2
-            if edges > best_edges:
-                best_edges = edges
-                best = combo
-    return best
+    subsets, capped = _feasible_b_subsets(
+        sub.vertices, sub.cost_units, sub.limit_units, 3, ENUM_COMBO_CAP
+    )
+    best = max(subsets, key=lambda s: (_induced_edges(adj, set(s)), -len(s)))
+    return ClassOutcome(best, "enum_small", ("enum_small_capped",) if capped else ())
 
 
-def _feasible_b_subsets(part_b, cost_units, budget, max_size, cap):
-    """Cost-feasible heavy-side subsets in lexicographic preorder, at most
-    cap of them, and whether more were left out."""
-    ordered = list(part_b)
+def _feasible_b_subsets(members, cost_units, budget, max_size, cap):
+    """Cost-feasible subsets of members (a heavy side, or all of a class-3
+    sub-instance) of at most max_size vertices, in lexicographic preorder,
+    at most cap of them, and whether more were left out."""
+    ordered = list(members)
     out = []
     # frames (next index, subset, its cost); children are pushed last-first
     stack = [(0, (), 0)]
@@ -233,7 +221,7 @@ def _feasible_b_subsets(part_b, cost_units, budget, max_size, cap):
 
 
 def _enum_small_b(sub: SubInstance, eps) -> ClassOutcome:
-    """Try every small heavy-side subset; knapsack the light side per subset.
+    """Try every small heavy-side subset; knapsack its light neighbours.
 
     Classes 4 and 5 send it sub-instances whose scaled limit is below 4*d;
     class 4 also those below 8*d with at most 16 heavy vertices, and every
@@ -243,25 +231,25 @@ def _enum_small_b(sub: SubInstance, eps) -> ClassOutcome:
     subsets can be far more, and the enumeration stops after
     ENUM_COMBO_CAP of them with the note enum_b4_capped.
     """
-    part_a, part_b = sub.part_a, sub.part_b
     adj = _adj_sets(sub)
     units, limit = sub.cost_units, sub.limit_units
     max_size = min(7, _limit_over(sub, sub.d_gap))
-    combos, capped = _feasible_b_subsets(part_b, units, limit, max_size, ENUM_COMBO_CAP)
+    combos, capped = _feasible_b_subsets(sub.part_b, units, limit, max_size, ENUM_COMBO_CAP)
     best: tuple[int, ...] = ()
     best_edges = 0
     for combo in combos:
-        chosen_b = set(combo)
-        cost_b = sum(units[v] for v in combo)
-        degree = {a: len(adj[a] & chosen_b) for a in part_a}
+        # the light vertices of positive degree into the combo, in id
+        # order; the knapsack drops zero-profit items, so the rest add none
+        degree = Counter(a for b in combo for a in adj[b])
         if sum(degree.values()) <= best_edges:
             continue
-        items = [(units[a], degree[a]) for a in part_a]
-        picked = knapsack_fptas(items, limit - cost_b, eps)
-        edges = sum(degree[part_a[i]] for i in picked)
+        light = sorted(degree)
+        cost_b = sum(units[v] for v in combo)
+        picked = knapsack_fptas([(units[a], degree[a]) for a in light], limit - cost_b, eps)
+        edges = sum(degree[light[i]] for i in picked)
         if edges > best_edges:
             best_edges = edges
-            best = tuple(sorted(combo + tuple(part_a[i] for i in picked)))
+            best = tuple(sorted(combo + tuple(light[i] for i in picked)))
     fallbacks = ("enum_b4_capped",) if capped else ()
     return ClassOutcome(best, "enum_b4", fallbacks)
 
@@ -344,7 +332,8 @@ def solve_class5(
     nbrs = rep.graph.nbrs
     for local in chosen:
         if local >= n_a:
-            delta_star[rep.copy_base(local)] = len(chosen_a.intersection(nbrs[local]))
+            b = part_b[(local - n_a) // sub.d_gap]
+            delta_star[b] = len(chosen_a.intersection(nbrs[local]))
 
     b_prime = _top(part_b, per_4d, lambda b: delta_star[b])
     return ClassOutcome(_degree_select(adj, b_prime, a_returned, m_a), "case2", fallbacks)

@@ -12,9 +12,9 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from qkpapprox import dks, knapsack, orchestrator
+from qkpapprox import classsolvers, dks, knapsack, orchestrator
 from qkpapprox.classsolvers import (
-    ReplicatedGraph,
+    ClassOutcome,
     solve_class2,
     solve_class3,
     solve_class4,
@@ -312,6 +312,44 @@ def random_class3_sub(rng: random.Random) -> SubInstance:
     )
 
 
+def random_class3_small_sub(rng: random.Random) -> SubInstance:
+    """Class-3 sub-instance on solve_class3's small case, either branch:
+    4-12 vertices under a scaled limit below 4 (t < 2), or 1-3 vertices
+    under a limit of 4 or more.  Scaled costs in (1,2]."""
+    if rng.random() < 0.5:
+        r, limit = rng.randint(4, 12), Fraction(rng.randint(4, 15), 4)
+    else:
+        r, limit = rng.randint(1, 3), Fraction(rng.randint(16, 40), 4)
+    costs = {v: 1 + Fraction(rng.randint(1, 8), 8) for v in range(r)}
+    density = rng.choice([0.3, 0.6, 0.9])
+    edges = tuple(
+        (u, v) for u in range(r) for v in range(u + 1, r) if rng.random() < density
+    )
+    return sub_from_scaled(3, costs, edges, limit, profit_level=1, buckets=(1, 1))
+
+
+def reference_best_small_subset(sub: SubInstance, subsets=None) -> tuple[int, ...]:
+    """The feasible pair or triple with the most sub edges, pairs before
+    triples and the first on ties, or () when none induces an edge.
+
+    subsets defaults to every pair, then every triple, in combinations
+    order; a caller may pass a prefix of the enumeration instead.
+    """
+    if subsets is None:
+        subsets = [c for size in (2, 3) for c in combinations(sub.vertices, size)]
+    best, best_edges = (), 0
+    for size in (2, 3):
+        for combo in subsets:
+            if len(combo) != size:
+                continue
+            if sum(sub.cost_units[v] for v in combo) > sub.limit_units:
+                continue
+            edges = sub_edge_count(sub, combo)
+            if edges > best_edges:
+                best, best_edges = tuple(combo), edges
+    return best
+
+
 def random_class4_sub(rng: random.Random) -> SubInstance:
     """Conforming class-4 sub-instance: light side <= min(1, limit/n),
     heavy side in (d, 2d], limit >= 4d, at least 4 light vertices."""
@@ -483,11 +521,12 @@ def subinstance_as_qkp(
     return inst, members
 
 
-def replicated_costs(rep: ReplicatedGraph, sub: SubInstance) -> tuple:
+def replicated_costs(sub: SubInstance) -> tuple:
     """Scaled cost of each local id of replicate(sub): a light vertex keeps
     its cost, and each copy of a heavy vertex takes a 1/d share."""
-    return tuple(scaled_cost(sub, a) for a in rep.a_members) + tuple(
-        Fraction(scaled_cost(sub, b)) / rep.d for b in rep.b_members for _ in range(rep.d)
+    d = sub.d_gap
+    return tuple(scaled_cost(sub, a) for a in sub.part_a) + tuple(
+        Fraction(scaled_cost(sub, b)) / d for b in sub.part_b for _ in range(d)
     )
 
 
@@ -521,6 +560,33 @@ def reference_feasible_b_subsets(part_b, scaled_cost, budget, max_size, cap):
 
     extend(0, [], 0)
     return out, capped
+
+
+def reference_enum_small_b(sub: SubInstance, eps) -> ClassOutcome:
+    """classsolvers._enum_small_b as it was before its knapsack calls took
+    only the light neighbours of each heavy subset: every call gets the
+    whole light side, zero-degree vertices included."""
+    part_a = sub.part_a
+    adj = classsolvers._adj_sets(sub)
+    units, limit = sub.cost_units, sub.limit_units
+    max_size = min(7, classsolvers._limit_over(sub, sub.d_gap))
+    combos, capped = classsolvers._feasible_b_subsets(
+        sub.part_b, units, limit, max_size, classsolvers.ENUM_COMBO_CAP
+    )
+    best, best_edges = (), 0
+    for combo in combos:
+        chosen_b = set(combo)
+        degree = {a: len(adj[a] & chosen_b) for a in part_a}
+        if sum(degree.values()) <= best_edges:
+            continue
+        items = [(units[a], degree[a]) for a in part_a]
+        cost_b = sum(units[v] for v in combo)
+        picked = knapsack.knapsack_fptas(items, limit - cost_b, eps)
+        edges = sum(degree[part_a[i]] for i in picked)
+        if edges > best_edges:
+            best_edges = edges
+            best = tuple(sorted(combo + tuple(part_a[i] for i in picked)))
+    return ClassOutcome(best, "enum_b4", ("enum_b4_capped",) if capped else ())
 
 
 def bucketed_instance(rng: random.Random) -> QkpInstance:

@@ -232,7 +232,7 @@ def test_criterion_6_replication_inequality():
         base_inst, _ = subinstance_as_qkp(sub, unit_edge_profit=True)
         rep_inst = QkpInstance(
             n=rep.graph.n,
-            cost=replicated_costs(rep, sub),
+            cost=replicated_costs(sub),
             vprofit=(0,) * rep.graph.n,
             edges=tuple((u, v, 1) for u, v in rep.graph.edges),
             limit=sub.scaled_limit,

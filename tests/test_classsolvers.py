@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     anchored_instance,
+    random_bipartite_sub,
+    random_class3_small_sub,
     random_class3_sub,
+    reference_best_small_subset,
+    reference_enum_small_b,
     reference_feasible_b_subsets,
     reference_greedy_peel,
     reference_replicate_edges,
@@ -26,6 +30,7 @@ from qkpapprox import classsolvers, orchestrator
 from qkpapprox.classsolvers import (
     _adj_sets,
     _degree_select,
+    _enum_small_b,
     _feasible_b_subsets,
     replicate,
     solve_class2,
@@ -36,6 +41,7 @@ from qkpapprox.classsolvers import (
 from qkpapprox.decompose import decompose
 from qkpapprox.dks import EXACT_BACKEND, GREEDY_BACKEND, DksBackend, UGraph, dks_greedy_peel
 from qkpapprox.instance import QkpInstance
+from qkpapprox.knapsack import DEFAULT_KNAPSACK_EPS
 from qkpapprox.oracle import exact_qkp
 from qkpapprox.orchestrator import SolveConfig, solve
 from qkpapprox.preprocess import prepare
@@ -148,6 +154,87 @@ def test_class3_degenerate_limit_enumerates():
     assert sub_edge_count(sub, out.vertices) == 1
 
 
+def test_class3_small_case_matches_brute_force():
+    rng = random.Random(30)
+    branches = Counter()
+    for trial in range(300):
+        sub = random_class3_small_sub(rng)
+        out = solve_class3(sub, GREEDY_BACKEND if trial % 2 else EXACT_BACKEND)
+        assert out == (reference_best_small_subset(sub), "enum_small", ()), trial
+        branches["t<2" if classsolvers._limit_over(sub, 2) < 2 else "|V|<4"] += 1
+        branches["picked", len(out.vertices)] += 1
+    assert all(branches[key] for key in ("t<2", "|V|<4", ("picked", 2), ("picked", 3)))
+
+
+def test_class3_small_case_stops_at_the_combo_cap(monkeypatch):
+    # the only edges join the last three vertices, which the preorder
+    # reaches late: a cap of 20 subsets sees none of them
+    sub = make_sub(3, [Fraction(9, 8)] * 8, [(5, 6), (5, 7), (6, 7)], limit=Fraction(7, 2))
+    assert solve_class3(sub, EXACT_BACKEND) == ((5, 6, 7), "enum_small", ())
+    monkeypatch.setattr(classsolvers, "ENUM_COMBO_CAP", 20)
+    assert solve_class3(sub, EXACT_BACKEND) == ((), "enum_small", ("enum_small_capped",))
+
+    rng = random.Random(31)
+    capped = 0
+    for trial in range(200):
+        sub = random_class3_small_sub(rng)
+        cap = rng.choice((1, 2, 5, 12, 40))
+        monkeypatch.setattr(classsolvers, "ENUM_COMBO_CAP", cap)
+        first, was_capped = reference_feasible_b_subsets(
+            sub.vertices, sub.cost_units, sub.limit_units, 3, cap
+        )
+        out = solve_class3(sub, EXACT_BACKEND)
+        notes = ("enum_small_capped",) if was_capped else ()
+        assert out == (reference_best_small_subset(sub, first), "enum_small", notes), trial
+        capped += was_capped
+    assert capped
+
+
+def test_enum_small_b_knapsacks_only_the_light_neighbours(monkeypatch):
+    calls = []
+
+    def spy(items, capacity, eps):
+        calls.append((tuple(items), capacity))
+        return knapsack_fptas(items, capacity, eps)
+
+    knapsack_fptas = classsolvers.knapsack_fptas
+    monkeypatch.setattr(classsolvers, "knapsack_fptas", spy)
+    rng = random.Random(32)
+    isolated = made = 0
+    for trial in range(300):
+        sub = random_bipartite_sub(rng, rng.choice((1, 2, 4)))
+        adj = _adj_sets(sub)
+        isolated += any(not adj[a] for a in sub.part_a)
+        units, limit = sub.cost_units, sub.limit_units
+        # each heavy subset's (capacity, items): its light neighbours in
+        # id order, each with its degree into the subset
+        expected = set()
+        for combo in reference_feasible_b_subsets(sub.part_b, units, limit, 7, 10**9)[0]:
+            light = sorted({a for b in combo for a in adj[b]})
+            items = tuple((units[a], len(adj[a] & set(combo))) for a in light)
+            expected.add((items, limit - sum(units[b] for b in combo)))
+        calls.clear()
+        _enum_small_b(sub, DEFAULT_KNAPSACK_EPS)
+        assert all(call in expected for call in calls), trial
+        made += len(calls)
+    assert isolated and made
+
+
+def test_enum_small_b_matches_the_all_light_items_loop():
+    rng = random.Random(33)
+    isolated = 0
+    for trial in range(400):
+        if trial % 2:
+            sub = random_bipartite_sub(rng, rng.choice((1, 2, 4)))
+        else:
+            sub = random_class4_sub(rng)
+        adj = _adj_sets(sub)
+        isolated += any(not adj[a] for a in sub.part_a)
+        eps = rng.choice((DEFAULT_KNAPSACK_EPS, Fraction(1, 10), Fraction(1, 2)))
+        assert _enum_small_b(sub, eps) == reference_enum_small_b(sub, eps), trial
+    assert isolated
+
+
 def test_class4_k43_main_path():
     # complete bipartite K_{4,3}: d=4, limit=32 picks 2 heavy + 1 light
     part_a = (0, 1, 2, 3)
@@ -188,9 +275,10 @@ def test_replicated_graph_shape():
     rep = replicate(sub)
     assert rep.graph.n == 3
     assert len(rep.graph.edges) == 2
-    costs = replicated_costs(rep, sub)
+    costs = replicated_costs(sub)
     assert costs[1] == costs[2] == Fraction(3, 2)
-    assert rep.copy_base(1) == rep.copy_base(2) == 1
+    # both copies hold the heavy vertex's one light neighbour
+    assert rep.graph.nbrs[1] == rep.graph.nbrs[2] == (0,)
 
 
 def test_replicated_graph_is_canonical():
@@ -238,13 +326,13 @@ def test_replicated_degrees_match_base():
         if not sub.edges:
             continue
         rep = replicate(sub)
-        n_a = len(rep.a_members)
+        n_a, d = len(sub.part_a), sub.d_gap
         base_deg = {
             b: sum(1 for u, v in sub.edges if b in (u, v)) for b in sub.part_b
         }
-        for b_idx, b in enumerate(rep.b_members):
-            for j in range(rep.d):
-                local = n_a + b_idx * rep.d + j
+        for b_idx, b in enumerate(sub.part_b):
+            for j in range(d):
+                local = n_a + b_idx * d + j
                 assert len(rep.graph.nbrs[local]) == base_deg[b]
 
 
@@ -258,7 +346,7 @@ def test_replication_value_bound_tiny():
     base_inst, _ = subinstance_as_qkp(sub, unit_edge_profit=True)
     rep_inst = QkpInstance(
         n=rep.graph.n,
-        cost=replicated_costs(rep, sub),
+        cost=replicated_costs(sub),
         vprofit=(0,) * rep.graph.n,
         edges=tuple((u, v, 1) for u, v in rep.graph.edges),
         limit=sub.scaled_limit,
