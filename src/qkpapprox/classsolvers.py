@@ -107,10 +107,19 @@ def _limit_over(sub: SubInstance, divisor) -> int:
 
 
 def _case1_applies(sub: SubInstance, n_a: int, alpha: Rational) -> bool:
-    """n_a <= limit^((1+a)/(1-a)) for alpha a = p/q in [0, 1), in ints."""
+    """n_a <= limit^((1+a)/(1-a)) for alpha a = p/q in [0, 1), in ints.  The
+    powers grow with q: they are raised only when bit-length brackets overlap."""
     p, q = alpha.numerator, alpha.denominator
     num, den = sub.limit_ratio()  # limit = num/den
-    return n_a ** (q - p) * den ** (q + p) <= num ** (q + p)
+    s, r = q - p, q + p
+    if n_a > 0 and num > 0:
+        # x > 0 of b bits is in [2^(b-1), 2^b), so n_a^s den^r is in
+        # [2^left, 2^(left+s+r)) and num^r in [2^right, 2^(right+r))
+        left = s * (n_a.bit_length() - 1) + r * (den.bit_length() - 1)
+        right = r * (num.bit_length() - 1)
+        if left + s + r <= right or right + r <= left:
+            return left < right
+    return n_a ** s * den ** r <= num ** r
 
 
 def _dks_with_fallback(graph: UGraph, k: int, backend: DksBackend):

@@ -60,16 +60,26 @@ def _missing_output_dir(*paths) -> int | None:
             return _fail(f"cannot write output: no directory for {path}", 2)
 
 
+def _file_key(path: str):
+    """The device and inode of the file at path, so that a hard link or a
+    symlink to it has the same key; the resolved path if there is none."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _shared_path(input_path: str, outputs: dict) -> int | None:
-    """Fail (2) on the first output path, by flag, that resolves to the
-    input or to an earlier output, which a write would replace; else None."""
-    seen = {os.path.realpath(input_path): "--input"}
+    """Fail (2) on the first output path, by flag, that is the file of the
+    input or of an earlier output, which a write would replace; else None."""
+    seen = {_file_key(input_path): "--input"}
     for flag, path in outputs.items():
         if path is not None:
-            real = os.path.realpath(path)
-            if real in seen:
-                return _fail(f"{flag} is the same file as {seen[real]}: a write would replace it", 2)
-            seen[real] = flag
+            key = _file_key(path)
+            if key in seen:
+                return _fail(f"{flag} is the same file as {seen[key]}: a write would replace it", 2)
+            seen[key] = flag
 
 
 def _load_valid(path: str):
@@ -131,17 +141,18 @@ def cmd_solve(args) -> int:
         return _fail("--report/--dump-decomposition are single-instance flags", 2)
     if os.path.realpath(args.output) == os.path.realpath(args.input):
         return _fail("--output is the --input directory: solutions would overwrite instances", 2)
-    os.makedirs(args.output, exist_ok=True)
     names = sorted(
         name for name in os.listdir(args.input) if name.endswith(".json")
     )
     if not names:
         return _fail(f"no .json instances in {args.input}", 2)
-    for name in names:
-        code = _solve_one(
-            os.path.join(args.input, name), os.path.join(args.output, name), cfg, args
-        )
-        if code != 0:
+    pairs = [(os.path.join(args.input, name), os.path.join(args.output, name)) for name in names]
+    for input_path, output_path in pairs:  # before the first write
+        if code := _shared_path(input_path, {"--output": output_path}):
+            return code
+    os.makedirs(args.output, exist_ok=True)
+    for input_path, output_path in pairs:
+        if code := _solve_one(input_path, output_path, cfg, args):
             return code
     return 0
 

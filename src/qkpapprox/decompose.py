@@ -1,7 +1,7 @@
 """Split a prepared instance into the five structured sub-instance classes.
 
 The reduced vertices are grouped into dyadic cost buckets here, by
-bucket_costs(prep.reduced), for this split alone.  Every rounded edge is keyed by
+bucket_costs(prep.cost), for this split alone.  Every rounded edge is keyed by
 (bucket of u, bucket of v, profit level) and lands in exactly one
 sub-instance; all vertex profits go to the single class-1 sub-instance.
 Classes:
@@ -27,9 +27,8 @@ thresholds come from the integer pair limit_ratio().
 """
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-from .instance import QkpInstance
 from .preprocess import PreparedInstance
 from .rational import Rational, as_rational, ceil_log2, pow2, rational_to_json
 
@@ -40,7 +39,7 @@ class SubInstance(NamedTuple):
     vertices lists all members, sorted, and edges the sorted (u, v) pairs
     with u < v; part_a/part_b are set for the bipartite classes 4 and 5
     (part_a is the lighter side).  Class 1 carries no profits: it is
-    solved on the reduced instance's vertex profits.  cost_units (by
+    solved on prep.vprofit, the reduced vertex profits.  cost_units (by
     reduced id) and limit_units are prepare's units; v's scaled cost is
     cost_units[v] / (den * cost_scale), cost_scale = 2**scale_exp.
     buckets: (i, i) for classes 2/3, (tail, i) for class 4, and (i, j)
@@ -93,23 +92,23 @@ class SubInstance(NamedTuple):
         }
 
 
-def bucket_costs(inst: QkpInstance) -> tuple[tuple[int, ...], int, int]:
+def bucket_costs(cost: Sequence[Rational]) -> tuple[tuple[int, ...], int, int]:
     """Group vertices into dyadic cost buckets V_1..V_{l+1}: the tuple of
-    each vertex's bucket, k and l.
+    each vertex's bucket, k and l, for the costs by vertex id.
 
     2^k is the smallest power of two at least the top cost and l the
-    smallest integer above log2(n); bucket i <= l holds costs in
+    smallest integer above log2(len(cost)); bucket i <= l holds costs in
     (2^(k-i), 2^(k+1-i)] and bucket l+1 the tail (0, 2^(k-l)].  All costs
     must be positive (prepare prunes the zero costs first).
     """
-    if inst.n == 0:
+    if not cost:
         return (), 0, 1
-    for v, c in enumerate(inst.cost):
+    for v, c in enumerate(cost):
         if c <= 0:
             raise ValueError(f"bucket_costs needs positive costs; vertex {v} has {c}")
-    k = ceil_log2(max(inst.cost))
-    l = inst.n.bit_length()  # the smallest integer above log2(n)
-    return tuple(min(k + 1 - ceil_log2(c), l + 1) for c in inst.cost), k, l
+    k = ceil_log2(max(cost))
+    l = len(cost).bit_length()  # the smallest integer above log2(n)
+    return tuple(min(k + 1 - ceil_log2(c), l + 1) for c in cost), k, l
 
 
 def decompose(prep: PreparedInstance) -> list[SubInstance]:
@@ -119,16 +118,15 @@ def decompose(prep: PreparedInstance) -> list[SubInstance]:
     the count stays within 2*(log2 n + 1)^3 + 1.  One pass over the
     reduced edges groups them by cell.
     """
-    inst = prep.reduced
-    bucket, k, l = bucket_costs(inst)
+    bucket, k, l = bucket_costs(prep.cost)
     tail = l + 1
     shared = (prep.cost_units, prep.limit_units, prep.den)
 
-    subs = [SubInstance(1, tuple(range(inst.n)), (), *shared)]
+    subs = [SubInstance(1, tuple(range(len(prep.cost))), (), *shared)]
 
     cells: dict[tuple[int, int, Rational], list[tuple[int, int]]] = {}
     get = cells.get
-    for u, v, p in inst.edges:
+    for u, v, p in prep.edges:
         bu, bv = bucket[u], bucket[v]
         key = (bu, bv, p) if bu <= bv else (bv, bu, p)
         cell = get(key)

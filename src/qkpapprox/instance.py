@@ -78,18 +78,6 @@ class QkpInstance:
         # frozen: the fields are set through the instance dict
         vars(self).update(cost=cost, vprofit=vprofit, edges=tuple(edges), limit=limit, _rows=None)
 
-    @classmethod
-    def from_canonical(cls, n, cost, vprofit, edges, limit) -> "QkpInstance":
-        """An instance from fields already in the form __post_init__ leaves
-        them: tuples of ints and non-integral Fractions, edges with u < v.
-
-        The only path that skips the constructor's check, so only for data
-        derived from a checked instance (prepare's reduced instance is).
-        """
-        inst = object.__new__(cls)
-        vars(inst).update(n=n, cost=cost, vprofit=vprofit, edges=edges, limit=limit, _rows=None)
-        return inst
-
     def higher_neighbours(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
         """Row u holds (v, p) for each edge (u, v, p) in edge order: each
         edge is stored once, at its lower endpoint.  Built on first use."""

@@ -5,8 +5,9 @@ original ids, union the always-include vertices, and return the feasible
 candidate with the best profit measured on the original (unrounded)
 instance.  A universal fallback scan over single vertices and edge pairs
 guards every degenerate path as one more candidate (class 0).
-prepare's one walk over the original edges yields the scan and the terms
-of the candidates' profit bounds; candidates are evaluated in bound order.
+prepare's walk over the original edges yields the scan and the bounds'
+terms; solve walks them again for the top edge profit, and the first
+evaluate builds their forward rows.  Candidates go in bound order.
 """
 
 from dataclasses import dataclass, field
@@ -120,10 +121,10 @@ def guaranteed_floor(n: int) -> Fraction:
     return Fraction(1, 64 * (2 * (ceil_log2(n) + 1) ** 3 + 1))
 
 
-def _solve_sub(sub, reduced, cfg):
+def _solve_sub(sub, prep, cfg):
     """One sub-instance's outcome, in reduced ids.
 
-    Class 1 is the knapsack on the reduced vertex profits.  A class 2-5
+    Class 1 is the knapsack on prep's reduced vertex profits.  A class 2-5
     sub-instance whose whole vertex set fits its limit is returned whole
     (case sum_all): its objective counts only its own non-negative edge
     profits, so no subset does better.  Only an overflowing one reaches
@@ -136,8 +137,8 @@ def _solve_sub(sub, reduced, cfg):
     candidate.
     """
     if sub.class_tag == 1:
-        items = list(zip(reduced.cost, reduced.vprofit))
-        picked = knapsack_fptas(items, reduced.limit, cfg.knapsack_eps)
+        items = list(zip(prep.cost, prep.vprofit))
+        picked = knapsack_fptas(items, prep.limit, cfg.knapsack_eps)
         return ClassOutcome(picked, "knapsack")
     units, total = sub.cost_units, 0
     for v in sub.vertices:  # a plain loop, as in solve: sum(map()) is slower here
@@ -178,7 +179,7 @@ def solve(inst: QkpInstance, cfg: SolveConfig | None = None) -> tuple[Solution, 
     vprofit, wdeg = inst.vprofit, prep.weighted_degree
     top = max(map(itemgetter(2), inst.edges), default=0)
     outcomes = chain(
-        ((sub.class_tag, _solve_sub(sub, prep.reduced, cfg)) for sub in subs),
+        ((sub.class_tag, _solve_sub(sub, prep, cfg)) for sub in subs),
         [(0, ClassOutcome(prep.fallback, "singleton_pair_scan"))],
     )
 

@@ -6,14 +6,14 @@ taking).  Edge profits are then rounded down onto a dyadic level ladder,
 which keys the sub-instance decomposition, and the surviving costs and
 the limit are scaled to integer units by one factor.
 
-prepare's one walk over the original edges, the only one in a solve, also
-gathers the candidate bounds' terms and the fallback scan's pairs.
+prepare's one walk over the original edges also gathers the candidate
+bounds' terms and the fallback scan's pairs.
 """
 
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .instance import QkpInstance
+from .instance import Edge, QkpInstance
 from .rational import Rational, as_rational, floor_log2, pow2, to_units
 
 
@@ -21,14 +21,15 @@ from .rational import Rational, as_rational, floor_log2, pow2, to_units
 class PreparedInstance:
     """Pruned and rounded instance plus lift-back metadata.
 
-    reduced is the pruned instance over dense reduced ids, with folded
+    cost, vprofit, edges and limit are the reduced problem, as QkpInstance
+    stores it: the pruned instance over dense reduced ids, with folded
     vertex profits and rounded edge profits; orig_of maps a reduced id to
     its original id.  always_include holds the original ids of the folded
     zero-cost vertices, and base_profit is their profit together.
 
     Costs in integer units: den is the lcm of the denominators of the
-    original costs and the limit.  cost_units[r] is reduced.cost[r] * den
-    and limit_units is the limit * den, both ints.
+    original costs and the limit.  cost_units[r] is cost[r] * den and
+    limit_units is limit * den, both ints.
 
     By original id, weighted_degree[v] sums v's edge profits.  fallback
     is the sorted reduced ids of the set that wins, under _beats on the
@@ -37,7 +38,10 @@ class PreparedInstance:
     any profit.
     """
 
-    reduced: QkpInstance
+    cost: tuple[Rational, ...]
+    vprofit: tuple[Rational, ...]
+    edges: tuple[Edge, ...]
+    limit: Rational
     base_profit: Rational
     always_include: frozenset
     orig_of: tuple[int, ...]
@@ -158,15 +162,16 @@ def prepare(inst: QkpInstance) -> PreparedInstance:
     """Full preparation pipeline: pruning and folding (_walk), then
     edge-profit rounding (_rounded_edges; vertex profits stay untouched).
 
-    The reduced instance takes inst's values, already in canonical form,
+    The reduced problem takes inst's values, already in canonical form,
     without converting them again.
     """
     units, den = to_units(inst.cost + (inst.limit,))
     cost, vprofit, pairs, base_profit, always, orig_of, wdeg = _walk(inst, units)
-    edges = _rounded_edges(len(cost), pairs)
-    reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
     return PreparedInstance(
-        reduced=reduced,
+        cost=cost,
+        vprofit=vprofit,
+        edges=_rounded_edges(len(cost), pairs),
+        limit=inst.limit,
         base_profit=base_profit,
         always_include=always,
         orig_of=orig_of,

@@ -946,17 +946,21 @@ def reference_fallback_scan(inst: QkpInstance, always, base_profit, units, limit
     return scan
 
 
+def reduced_instance(prep: PreparedInstance) -> QkpInstance:
+    """prep's reduced problem as a checked QkpInstance."""
+    return QkpInstance(len(prep.cost), prep.cost, prep.vprofit, prep.edges, prep.limit)
+
+
 def unrounded_reduced(inst: QkpInstance, prep: PreparedInstance) -> QkpInstance:
-    """prep.reduced with inst's edge profits in place of the rounded ones:
-    every original edge between two reduced vertices, mapped by orig_of.
-    Edges whose ends do not fit together and zero-profit edges stay; they
-    change no feasible set's profit."""
+    """reduced_instance(prep) with inst's edge profits in place of the
+    rounded ones: every original edge between two reduced vertices, mapped
+    by orig_of.  Edges whose ends do not fit together and zero-profit edges
+    stay; they change no feasible set's profit."""
     new_id = {v: r for r, v in enumerate(prep.orig_of)}
-    red = prep.reduced
     edges = tuple(
         (new_id[u], new_id[v], p) for u, v, p in inst.edges if u in new_id and v in new_id
     )
-    return QkpInstance(red.n, red.cost, red.vprofit, edges, red.limit)
+    return QkpInstance(len(prep.cost), prep.cost, prep.vprofit, edges, prep.limit)
 
 
 def reference_prepare(inst: QkpInstance) -> PreparedInstance:
@@ -969,11 +973,13 @@ def reference_prepare(inst: QkpInstance) -> PreparedInstance:
     cost, vprofit, edges = parts
     if edges:
         edges = _reference_rounded_edges(len(cost), edges)
-    reduced = QkpInstance.from_canonical(len(cost), cost, vprofit, edges, inst.limit)
     incident = [[p for a, b, p in inst.edges if v in (a, b)] for v in range(inst.n)]
     _, scan = reference_fallback_scan(inst, always, base_profit, units, units[-1])
     return PreparedInstance(
-        reduced=reduced,
+        cost=cost,
+        vprofit=vprofit,
+        edges=edges,
+        limit=inst.limit,
         base_profit=base_profit,
         always_include=always,
         orig_of=orig_of,
@@ -987,24 +993,23 @@ def reference_prepare(inst: QkpInstance) -> PreparedInstance:
 
 def reference_decompose(prep: PreparedInstance) -> list[SubInstance]:
     """decompose as it was before its one cell pass: buckets read from
-    bucket_costs(prep.reduced) per edge, a setdefault list per cell, each
+    bucket_costs(prep.cost) per edge, a setdefault list per cell, each
     sub-instance built by keyword."""
-    inst = prep.reduced
-    bucket_of, k, l = bucket_costs(inst)
+    bucket_of, k, l = bucket_costs(prep.cost)
     tail = l + 1
     units = {"cost_units": prep.cost_units, "limit_units": prep.limit_units, "den": prep.den}
 
     subs = [
         SubInstance(
             class_tag=1,
-            vertices=tuple(range(inst.n)),
+            vertices=tuple(range(len(prep.cost))),
             edges=(),
             **units,
         )
     ]
 
     cells: dict[tuple[int, int, Rational], list[tuple[int, int]]] = {}
-    for u, v, p in inst.edges:
+    for u, v, p in prep.edges:
         bu, bv = bucket_of[u], bucket_of[v]
         key = (bu, bv, p) if bu <= bv else (bv, bu, p)
         cells.setdefault(key, []).append((u, v))
@@ -1054,7 +1059,7 @@ def reference_solve(inst: QkpInstance, cfg) -> tuple[Solution, RunReport]:
     best = None
     records = []
     for sub in decompose(prep):
-        outcome = orchestrator._solve_sub(sub, prep.reduced, cfg)
+        outcome = orchestrator._solve_sub(sub, prep, cfg)
         verts = tuple(sorted(always.union(prep.orig_of[r] for r in outcome.vertices)))
         feasible = sum(units[v] for v in verts) <= limit
         if feasible:
@@ -1085,7 +1090,7 @@ def ungated_best(inst: QkpInstance, cfg):
     best = reference_fallback_scan(inst, prep.always_include, prep.base_profit, units, limit)[0]
     for sub in decompose(prep):
         if sub.class_tag == 1:
-            outcome = orchestrator._solve_sub(sub, prep.reduced, cfg)
+            outcome = orchestrator._solve_sub(sub, prep, cfg)
         elif sub.class_tag == 2:
             outcome = solve_class2(sub)
         elif sub.class_tag == 3:
@@ -1100,10 +1105,11 @@ def ungated_best(inst: QkpInstance, cfg):
     return best
 
 
-def reference_validate(inst: QkpInstance) -> list[str]:
-    """The problems QkpInstance's check finds in inst's fields, with (u, v)
-    tuple keys for duplicates, as the check was before its edge loop keyed
-    ints and tested the range first."""
+def reference_validate(inst) -> list[str]:
+    """The problems QkpInstance's check finds in inst's n, cost, vprofit,
+    edges and limit (inst is any object with them), with (u, v) tuple keys
+    for duplicates, as the check was before its edge loop keyed ints and
+    tested the range first."""
     problems = []
     if inst.n < 0:
         problems.append(f"negative vertex count {inst.n}")

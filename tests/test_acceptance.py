@@ -17,6 +17,7 @@ from helpers import (
     random_class3_sub,
     random_class4_sub,
     random_class5_case2_sub,
+    reduced_instance,
     replicated_costs,
     sub_cost,
     sub_edge_count,
@@ -112,9 +113,9 @@ def test_criterion_3_rounding_lemma():
         )
         opt_original, _ = brute_force_opt(inst)
         # the ladder applies to the pruned graph, where the top edge is
-        # feasible; prep.reduced is the instance decompose receives
+        # feasible; prep's reduced problem is what decompose receives
         prep = prepare(inst)
-        opt_rounded, _ = brute_force_opt(prep.reduced)
+        opt_rounded, _ = brute_force_opt(reduced_instance(prep))
         assert 4 * (opt_rounded + prep.base_profit) >= opt_original, f"trial {trial}"
     _passed(3, "200/200 satisfy 4*OPT(rounded) >= OPT(original), exact arithmetic")
 
@@ -139,11 +140,11 @@ def test_criterion_4_decomposition_soundness():
             for e in s.edges:
                 assert e not in seen, f"trial {trial}: edge in two sub-instances"
                 seen.add(e)
-        assert len(seen) == len(prep.reduced.edges), f"trial {trial}: edge lost"
-        mass = sum(profit_mass(s, prep.reduced.vprofit) for s in subs)
-        expected = sum(p for _, _, p in prep.reduced.edges) + sum(prep.reduced.vprofit)
+        assert len(seen) == len(prep.edges), f"trial {trial}: edge lost"
+        mass = sum(profit_mass(s, prep.vprofit) for s in subs)
+        expected = sum(p for _, _, p in prep.edges) + sum(prep.vprofit)
         assert mass == expected, f"trial {trial}: profit mass not conserved"
-        assert len(subs) <= subinstance_count_bound(max(prep.reduced.n, 1))
+        assert len(subs) <= subinstance_count_bound(max(len(prep.cost), 1))
     _passed(4, "500/500 decompositions sound (partition, count bound, mass)")
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -345,13 +346,16 @@ def test_solve_fails_fast_on_an_unwritable_output(tmp_path, capsys, monkeypatch)
     ["--output", "{link}"],
     ["--output", "{out}", "--report", "{out}"],
     ["--report", "{out}", "--dump-decomposition", "{link_out}"],
+    ["--output", "{hard_link}"],
 ])
 def test_solve_refuses_two_flags_on_one_file(tmp_path, capsys, monkeypatch, flags):
-    paths = {k: str(tmp_path / f"{k}.json") for k in ("input", "link", "out", "link_out")}
+    names = ("input", "link", "hard_link", "out", "link_out")
+    paths = {k: str(tmp_path / f"{k}.json") for k in names}
     inst_path = tmp_path / "input.json"
     write_triangle(inst_path)
     before = inst_path.read_bytes()
     (tmp_path / "link.json").symlink_to(inst_path)
+    os.link(inst_path, tmp_path / "hard_link.json")
     (tmp_path / "link_out.json").symlink_to(tmp_path / "out.json")
     solves = []
     monkeypatch.setattr(cli, "solve", lambda *a: solves.append(a) or solve(*a))
@@ -477,6 +481,38 @@ def test_solve_batch_refuses_to_write_over_its_input(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: --output is the --input directory")
     assert (in_dir / "tri.json").read_bytes() == before
     assert [p.name for p in in_dir.iterdir()] == ["tri.json"]
+
+
+@pytest.mark.parametrize("link", ["symlink", "hard link"])
+def test_solve_batch_refuses_a_solution_file_that_is_its_instance(
+    tmp_path, capsys, monkeypatch, link
+):
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    in_dir.mkdir()
+    out_dir.mkdir()
+    write_triangle(in_dir / "a.json")
+    write_triangle(in_dir / "b.json", limit=3)
+    before = (in_dir / "b.json").read_bytes()
+    # b's solution file is b itself, and a's would be written first
+    if link == "symlink":
+        (out_dir / "b.json").symlink_to("../in/b.json")
+    else:
+        os.link(in_dir / "b.json", out_dir / "b.json")
+    solves = []
+    monkeypatch.setattr(cli, "solve", lambda *a: solves.append(a) or solve(*a))
+    assert main(["solve", "--input", str(in_dir), "--output", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: --output is the same file as --input")
+    assert (in_dir / "b.json").read_bytes() == before
+    assert not (out_dir / "a.json").exists()
+    assert solves == []
+
+
+def test_solve_batch_without_instances_creates_no_output(tmp_path, capsys):
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    in_dir.mkdir()
+    assert main(["solve", "--input", str(in_dir), "--output", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: no .json instances in ")
+    assert not out_dir.exists()
 
 
 def test_solve_batch_output_is_an_existing_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ from helpers import (
     brute_force_opt,
     profit_mass,
     qkp_instances,
+    reduced_instance,
     reference_decompose,
     scaled_cost,
     subinstance_as_qkp,
@@ -79,7 +80,7 @@ def test_two_levels_two_bucket_pairs_make_five_subs():
         limit=64,
     )
     prep = prepare(inst)
-    assert bucket_costs(prep.reduced)[2] == 4
+    assert bucket_costs(prep.cost)[2] == 4
     subs = decompose(prep)
     assert len(subs) == 5
     tags = sorted(s.class_tag for s in subs)
@@ -116,7 +117,7 @@ def test_class4_orientation_and_scaling():
     sub = four[0]
     assert set(sub.part_b) == {0, 1}
     assert set(sub.part_a) == {2, 3}
-    _, k, l = bucket_costs(prep.reduced)
+    _, k, l = bucket_costs(prep.cost)
     assert sub.cost_scale == pow2(k - l)
     for v in sub.part_a:
         assert 0 < scaled_cost(sub, v) <= 1
@@ -135,11 +136,11 @@ def test_edges_partition_and_mass_conservation(inst):
         for e in s.edges:
             assert e not in seen, "edge assigned to two sub-instances"
             seen[e] = s.class_tag
-    assert len(seen) == len(prep.reduced.edges)
-    mass = sum(profit_mass(s, prep.reduced.vprofit) for s in subs)
-    expected = sum(p for _, _, p in prep.reduced.edges) + sum(prep.reduced.vprofit)
+    assert len(seen) == len(prep.edges)
+    mass = sum(profit_mass(s, prep.vprofit) for s in subs)
+    expected = sum(p for _, _, p in prep.edges) + sum(prep.vprofit)
     assert mass == expected
-    n = max(prep.reduced.n, 1)
+    n = max(len(prep.cost), 1)
     assert len(subs) <= subinstance_count_bound(n)
 
 
@@ -189,19 +190,19 @@ def test_averaging_bound_against_oracle():
         )
         prep = prepare(inst)
         subs = decompose(prep)
-        opt_prep, _ = brute_force_opt(prep.reduced)
+        opt_prep, _ = brute_force_opt(reduced_instance(prep))
         if opt_prep == 0:
             continue
         best_share = Fraction(0)
         for sub in subs:
             # sub-instance at the unscaled limit: scale values back up
-            sub_qkp, _ = subinstance_as_qkp(sub, vprofit=prep.reduced.vprofit)
+            sub_qkp, _ = subinstance_as_qkp(sub, vprofit=prep.vprofit)
             raw = QkpInstance(
                 n=sub_qkp.n,
                 cost=tuple(Fraction(c) * Fraction(sub.cost_scale) for c in sub_qkp.cost),
                 vprofit=sub_qkp.vprofit,
                 edges=sub_qkp.edges,
-                limit=prep.reduced.limit,
+                limit=prep.limit,
             )
             share, _ = brute_force_opt(raw)
             best_share = max(best_share, Fraction(share))

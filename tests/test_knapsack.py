@@ -417,11 +417,11 @@ def test_raised_lb_never_passes_the_optimum():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_pruned_class1_knapsack_matches_reference(seed):
-    # the class-1 call of solve: the reduced instance's vertex profits
-    # under its Fraction limit
-    reduced = prepare(random_instance(100, 0.1, 1000, 1000, "1/2", seed=seed)).reduced
-    items = list(zip(reduced.cost, reduced.vprofit))
-    limit = reduced.limit
+    # the class-1 call of solve: the reduced vertex profits under the
+    # instance's Fraction limit
+    prep = prepare(random_instance(100, 0.1, 1000, 1000, "1/2", seed=seed))
+    items = list(zip(prep.cost, prep.vprofit))
+    limit = prep.limit
     eps = Fraction(1, 4)
     fix = _FixSpy()
     with _bound_spy() as spy, mock.patch.object(knapsack, "_fix", fix):
@@ -443,10 +443,10 @@ def test_raised_lb_fixes_more_than_the_greedy_fill():
     with mock.patch.object(knapsack, "_fix", fix):
         for seed in range(1, 7):
             inst = random_instance(100, 0.1, 1000, 1000, "1/2", seed=seed)
-            reduced = prepare(inst).reduced
-            items = list(zip(reduced.cost, reduced.vprofit))
-            knapsack_fptas(items, reduced.limit, Fraction(1, 4))
-            exact_sweep(items, reduced.limit)
+            prep = prepare(inst)
+            items = list(zip(prep.cost, prep.vprofit))
+            knapsack_fptas(items, prep.limit, Fraction(1, 4))
+            exact_sweep(items, prep.limit)
     fixed = [len(costs) - len(free) for costs, *_, free in fix.calls]
     greedy = [reference_greedy_fixed_count(*call[:3]) for call in fix.calls]
     assert len(fixed) == 12

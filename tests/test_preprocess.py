@@ -12,6 +12,7 @@ from helpers import (
     qkp_instances,
     rational_cost_instance,
     rational_instances,
+    reduced_instance,
     reference_prepare,
     unrounded_reduced,
 )
@@ -24,8 +25,8 @@ from qkpapprox.rational import pow2
 def test_prune_drops_overweight_vertex_and_edge():
     inst = QkpInstance(n=2, cost=(5, 12), vprofit=(0, 0), edges=((0, 1, 3),), limit=10)
     result = prepare(inst)
-    assert result.reduced.n == 1
-    assert result.reduced.edges == ()
+    assert len(result.cost) == 1
+    assert result.edges == ()
     assert result.orig_of == (0,)
 
 
@@ -34,20 +35,20 @@ def test_prune_folds_zero_cost_vertex():
     result = prepare(inst)
     assert result.base_profit == 2
     assert result.always_include == frozenset({0})
-    assert result.reduced.n == 1
-    assert result.reduced.vprofit == (6,)
+    assert len(result.cost) == 1
+    assert result.vprofit == (6,)
 
 
 def test_prune_drops_pair_cost_violating_edge():
     inst = QkpInstance(n=2, cost=(6, 6), vprofit=(0, 0), edges=((0, 1, 4),), limit=10)
     result = prepare(inst)
-    assert result.reduced.n == 2
-    assert result.reduced.edges == ()
+    assert len(result.cost) == 2
+    assert result.edges == ()
 
 
 def test_prune_zero_profit_edges_dropped():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(0, 0), edges=((0, 1, 0),), limit=5)
-    assert prepare(inst).reduced.edges == ()
+    assert prepare(inst).edges == ()
 
 
 def test_prune_chained_zero_cost_vertices():
@@ -61,8 +62,8 @@ def test_prune_chained_zero_cost_vertices():
     )
     result = prepare(inst)
     assert result.base_profit == 1 + 2 + 4
-    assert result.reduced.n == 1
-    assert result.reduced.vprofit == (3,)
+    assert len(result.cost) == 1
+    assert result.vprofit == (3,)
     assert result.always_include == frozenset({0, 1})
 
 
@@ -86,14 +87,14 @@ def test_round_profits_level_ladder():
         limit=10,
     )
     prep = prepare(inst)
-    by_pair = {(u, v): p for u, v, p in prep.reduced.edges}
+    by_pair = {(u, v): p for u, v, p in prep.edges}
     assert by_pair == {(0, 1): 8, (0, 2): Fraction(1, 4), (1, 2): 2}
 
 
 def test_round_profits_single_edge():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(0, 0), edges=((0, 1, 7),), limit=5)
     prep = prepare(inst)
-    assert prep.reduced.edges == ((0, 1, 4),)
+    assert prep.edges == ((0, 1, 4),)
 
 
 def test_round_profits_fixed_point():
@@ -104,19 +105,19 @@ def test_round_profits_fixed_point():
         edges=((0, 1, 8), (1, 2, 4), (2, 3, 1)),
         limit=10,
     )
-    assert prepare(inst).reduced.edges == inst.edges
+    assert prepare(inst).edges == inst.edges
 
 
 def test_round_profits_no_edges():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(3, 4), edges=(), limit=5)
     prep = prepare(inst)
-    assert prep.reduced == inst
-    assert prep.reduced.edges == ()
+    assert reduced_instance(prep) == inst
+    assert prep.edges == ()
 
 
 def test_round_profits_keeps_vertex_profits():
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(3, Fraction(1, 7)), edges=((0, 1, 5),), limit=5)
-    assert prepare(inst).reduced.vprofit == (3, Fraction(1, 7))
+    assert prepare(inst).vprofit == (3, Fraction(1, 7))
 
 
 def test_bucket_costs_dyadic_ranges():
@@ -128,7 +129,7 @@ def test_bucket_costs_dyadic_ranges():
         edges=(),
         limit=20,
     )
-    bucket_of, k, l = bucket_costs(inst)
+    bucket_of, k, l = bucket_costs(inst.cost)
     assert (k, l) == (4, 4)
     assert bucket_of[0] == 1
     assert bucket_of[1] == 3
@@ -140,14 +141,14 @@ def test_bucket_costs_dyadic_ranges():
 def test_bucket_costs_small_instance():
     # n=2, single positive cost 1: k=0, l=2, cost 1 in (1/2, 1] -> V_1
     inst = QkpInstance(n=2, cost=(1, 1), vprofit=(0, 0), edges=(), limit=5)
-    bucket_of, k, l = bucket_costs(inst)
+    bucket_of, k, l = bucket_costs(inst.cost)
     assert (k, l) == (0, 2)
     assert bucket_of[0] == 1 and bucket_of[1] == 1
 
 
 def test_bucket_costs_all_equal_share_bucket():
     inst = QkpInstance(n=5, cost=(6,) * 5, vprofit=(0,) * 5, edges=(), limit=30)
-    bucket_of, _, _ = bucket_costs(inst)
+    bucket_of, _, _ = bucket_costs(inst.cost)
     assert len(bucket_of) == inst.n
     assert len(set(bucket_of)) == 1
 
@@ -155,13 +156,13 @@ def test_bucket_costs_all_equal_share_bucket():
 def test_bucket_costs_rejects_zero_cost():
     inst = QkpInstance(n=1, cost=(0,), vprofit=(0,), edges=(), limit=1)
     with pytest.raises(ValueError):
-        bucket_costs(inst)
+        bucket_costs(inst.cost)
 
 
 @given(qkp_instances(max_n=10, allow_zero_cost=False))
 @settings(max_examples=80)
 def test_bucket_membership_inequality(inst):
-    bucket_of, k, l = bucket_costs(inst)
+    bucket_of, k, l = bucket_costs(inst.cost)
     assert len(bucket_of) == inst.n
     for v, i in enumerate(bucket_of):
         c = inst.cost[v]
@@ -176,7 +177,7 @@ def test_bucket_membership_inequality(inst):
 def test_rounded_profit_within_factor_two(inst):
     prep = prepare(inst)
     before = {(u, v): p for u, v, p in inst.edges}
-    for ru, rv, p in prep.reduced.edges:
+    for ru, rv, p in prep.edges:
         assert p <= before[(prep.orig_of[ru], prep.orig_of[rv])] < 2 * p
 
 
@@ -200,7 +201,7 @@ def test_rounding_lemma_small_cases():
         )
         prep = prepare(inst)
         opt_pruned, _ = brute_force_opt(unrounded_reduced(inst, prep))
-        opt_rounded, _ = brute_force_opt(prep.reduced)
+        opt_rounded, _ = brute_force_opt(reduced_instance(prep))
         assert 4 * opt_rounded >= opt_pruned
 
 
@@ -215,20 +216,34 @@ def test_prepare_bundles_everything():
     prep = prepare(inst)
     assert prep.base_profit == 5
     assert prep.always_include == frozenset({0})
-    assert prep.reduced.n == 2
-    assert prep.reduced.vprofit == (6, 1)  # vertex 1 absorbed the folded edge
-    assert max(p for _, _, p in prep.reduced.edges) == 2  # top remaining rounded profit
-    bucket_of, _, l = bucket_costs(prep.reduced)
-    assert len(bucket_of) == prep.reduced.n
+    assert len(prep.cost) == 2
+    assert prep.vprofit == (6, 1)  # vertex 1 absorbed the folded edge
+    assert max(p for _, _, p in prep.edges) == 2  # top remaining rounded profit
+    bucket_of, _, l = bucket_costs(prep.cost)
+    assert len(bucket_of) == len(prep.cost)
     assert l >= 1
 
 
 def test_prepare_empty_instance():
     inst = QkpInstance(n=0, cost=(), vprofit=(), edges=(), limit=0)
     prep = prepare(inst)
-    assert prep.reduced.n == 0
-    assert prep.reduced.edges == ()
-    assert bucket_costs(prep.reduced)[0] == ()
+    assert len(prep.cost) == 0
+    assert prep.edges == ()
+    assert bucket_costs(prep.cost)[0] == ()
+
+
+def _assert_canonical(prep):
+    """prep's reduced problem passes the checked constructor, which stores
+    the same values, type for type."""
+    checked = reduced_instance(prep)
+    fields = (prep.cost, prep.vprofit, prep.edges, prep.limit)
+    assert fields == (checked.cost, checked.vprofit, checked.edges, checked.limit)
+    for a, b in zip(
+        prep.cost + prep.vprofit + (prep.limit,),
+        checked.cost + checked.vprofit + (checked.limit,),
+    ):
+        assert type(a) is type(b)
+    assert [type(p) for *_, p in prep.edges] == [type(p) for *_, p in checked.edges]
 
 
 def test_reduced_instance_is_canonical():
@@ -238,21 +253,16 @@ def test_reduced_instance_is_canonical():
         n=3, cost=(0, 1, 2), vprofit=(0, Fraction(1, 2), Fraction(1, 3)),
         edges=((0, 1, Fraction(1, 2)), (1, 2, 3)), limit=Fraction(7, 2),
     )
-    assert type(prepare(folded).reduced.vprofit[0]) is int
+    assert type(prepare(folded).vprofit[0]) is int
     for inst in [folded] + [rational_cost_instance(seed) for seed in range(30)]:
-        reduced = prepare(inst).reduced
-        checked = QkpInstance(
-            reduced.n, reduced.cost, reduced.vprofit, reduced.edges, reduced.limit
-        )
-        assert reduced == checked
-        for a, b in zip(
-            reduced.cost + reduced.vprofit + (reduced.limit,),
-            checked.cost + checked.vprofit + (checked.limit,),
-        ):
-            assert type(a) is type(b)
-        assert [type(p) for *_, p in reduced.edges] == [
-            type(p) for *_, p in checked.edges
-        ]
+        _assert_canonical(prepare(inst))
+
+
+@given(st.one_of(rational_instances(), qkp_instances(max_n=10, allow_zero_cost=True)))
+@settings(max_examples=200, deadline=None)
+def test_reduced_fields_pass_the_checked_constructor(inst):
+    # the rounding-lemma tests brute-force reduced_instance(prep)
+    _assert_canonical(prepare(inst))
 
 
 @given(st.one_of(rational_instances(), qkp_instances(max_n=10)))

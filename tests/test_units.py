@@ -2,14 +2,16 @@
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import rational_cost_instance, scaled_cost
 from qkpapprox.classsolvers import _case1_applies, _limit_over
-from qkpapprox.decompose import decompose
+from qkpapprox.decompose import SubInstance, decompose
+from qkpapprox.generate import random_instance
 from qkpapprox.instance import QkpInstance, dumps_canonical
 from qkpapprox.orchestrator import SolveConfig, solve
 from qkpapprox.preprocess import prepare
@@ -51,19 +53,18 @@ def rational_instances(draw, max_n=12):
 @settings(max_examples=150, deadline=None)
 def test_units_match_their_fraction_definitions(inst):
     prep = prepare(inst)
-    red = prep.reduced
-    assert prep.limit_units == red.limit * prep.den
+    assert prep.limit_units == prep.limit * prep.den
     assert all(prep.cost_units[r] == inst.cost[v] * prep.den for r, v in enumerate(prep.orig_of))
-    assert all(u == c * prep.den for u, c in zip(prep.cost_units, red.cost))
+    assert all(u == c * prep.den for u, c in zip(prep.cost_units, prep.cost))
     assert all(isinstance(u, int) for u in prep.cost_units + (prep.limit_units,))
     for sub in decompose(prep):
         scale = Fraction(sub.cost_scale)
-        limit = Fraction(red.limit) / scale
+        limit = Fraction(prep.limit) / scale
         assert sub.scaled_limit == limit
         num, den = sub.limit_ratio()
         assert den > 0 and Fraction(num, den) == limit
         for v in sub.vertices:
-            assert scaled_cost(sub, v) == Fraction(red.cost[v]) / scale
+            assert scaled_cost(sub, v) == Fraction(prep.cost[v]) / scale
         # a units sum fits limit_units exactly when the scaled sum fits
         members = list(sub.vertices)
         for r in range(len(members) + 1):
@@ -81,6 +82,48 @@ def test_units_match_their_fraction_definitions(inst):
             for n_a in {0, 1, max(0, edge - 1), edge, edge + 1, math.floor(limit) + 1}:
                 expected = Fraction(n_a) ** (q - p) <= limit ** (q + p)
                 assert _case1_applies(sub, n_a, alpha) == expected
+
+
+@st.composite
+def _case1_inputs(draw):
+    """(n_a, num, den, alpha): half of the n_a next to the float estimate
+    of the boundary (num/den)^((q+p)/(q-p)), where the bit-length brackets
+    overlap and the exact powers decide."""
+    q = draw(st.integers(1, 12))
+    alpha = Fraction(draw(st.integers(0, q - 1)), q)
+    p, q = alpha.numerator, alpha.denominator
+    num, den = draw(st.integers(1, 2**40)), draw(st.integers(1, 2**40))
+    edge = (num / den) ** ((q + p) / (q - p))
+    if edge < 2**60 and draw(st.booleans()):
+        n_a = max(0, int(edge) + draw(st.integers(-2, 2)))
+    else:
+        n_a = draw(st.integers(0, 2**40))
+    return n_a, num, den, alpha
+
+
+@given(_case1_inputs())
+@settings(max_examples=500)
+# overlapping brackets, the left side far below, and far above
+@example((139, 10011, 1600, Fraction(1, 3)))
+@example((1, 2**20, 1, Fraction(0)))
+@example((2**20, 1, 1, Fraction(1, 2)))
+def test_case1_brackets_agree_with_the_exact_comparison(case):
+    n_a, num, den, alpha = case
+    p, q = alpha.numerator, alpha.denominator
+    sub = SubInstance(5, (), (), (), num, den)  # limit_ratio() == (num, den)
+    expected = Fraction(n_a) ** (q - p) <= Fraction(num, den) ** (q + p)
+    assert _case1_applies(sub, n_a, alpha) == expected
+
+
+def test_case1_test_is_cheap_at_a_small_alpha():
+    # the first class-5 sub-instance of a tight-limit draw; raising the
+    # exact powers at alpha = 1/10^6 took seconds here
+    subs = decompose(prepare(random_instance(1000, 0.05, 20, 20, "1/200", seed=1)))
+    sub = next(s for s in subs if s.class_tag == 5)
+    assert (len(sub.part_a), sub.scaled_limit) == (139, Fraction(10011, 1600))
+    start = time.perf_counter()
+    assert not _case1_applies(sub, len(sub.part_a), Fraction(1, 10**6))
+    assert time.perf_counter() - start < 0.5
 
 
 # solve() on rational_cost_instance(seed), seed 0..29 (exact backend on odd
